@@ -52,34 +52,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates the microbenchmark numbers, runs the campaign
-# benchmarks three times for stable medians, and emits the comparison
-# blobs: checkpoint fast-forwarding (on vs off) into BENCH_PR3.json, the
-# fault-tolerance layer's healthy-path overhead into BENCH_PR4.json,
-# the fully-observed campaign's instrumentation overhead into
-# BENCH_PR5.json (acceptance: overhead_ratio <= 1.05), the goofid
-# service comparison (four concurrent tenant campaigns vs four
-# sequential CLI runs, plus per-submit API latency) into BENCH_PR6.json,
-# and the sharded-vs-solo comparison into BENCH_PR7.json (acceptance:
-# overhead_ratio <= 1.10 on one CPU, where no speedup is possible).
-# BENCH_PR8.json crosses checkpoint placement {interval, optimal} with
-# thor execution {fastpath, steppath} on the PID campaign (acceptance:
-# cycles_emulated_optimal <= cycles_emulated_interval — a deterministic
-# cycle count, never a wall-clock comparison).
-# BENCH_PR10.json measures the live-process (ptrace) target: 500 seeded
-# experiments against the matmul victim — experiments/sec, the
-# outcome-class distribution, and plan-hash identity across reps
-# (acceptance: plan_identical_across_reps == true).
+# bench regenerates the microbenchmark numbers, runs the PID campaign
+# benchmark three times for stable medians, and runs the campaign
+# benchmark (perfbench/, see perfbench/README.md) once per workload.
+# The BENCH_PR*.json files are the history of earlier measurements.
 bench:
 	$(GO) test . -run xxx -bench . -benchtime 1x
 	$(GO) test . -run xxx -bench BenchmarkCampaignPID -benchtime 1x -count 3
-	$(GO) run ./cmd/goofi-bench -reps 3 -o BENCH_PR3.json
-	$(GO) run ./cmd/goofi-bench -mode robustness -reps 5 -o BENCH_PR4.json
-	$(GO) run ./cmd/goofi-bench -mode telemetry -reps 5 -o BENCH_PR5.json
-	$(GO) run ./cmd/goofi-bench -mode service -n 400 -reps 3 -o BENCH_PR6.json
-	$(GO) run ./cmd/goofi-bench -mode shard -n 2000 -reps 5 -o BENCH_PR7.json
-	$(GO) run ./cmd/goofi-bench -mode forward -reps 5 -o BENCH_PR8.json
-	$(GO) run ./cmd/goofi-bench -mode proc -n 500 -reps 3 -o BENCH_PR10.json
+	bash perfbench/run.sh --workload pid-long --seed 42 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload sort16-wal --seed 42 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload sort16-sharded --seed 42 --seconds 25 --trace 0
+	bash perfbench/run.sh --workload proc-matmul --seed 42 --seconds 25 --trace 0
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
 # FUZZTIME=1m etc.). New corpus entries land in the build cache;

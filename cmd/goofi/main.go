@@ -37,10 +37,9 @@ import (
 	"goofi/internal/chaos"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
-	"goofi/internal/preinject"
+	"goofi/internal/runspec"
 	"goofi/internal/sqldb"
 	"goofi/internal/telemetry"
-	"goofi/internal/thor"
 	"goofi/internal/trigger"
 	"goofi/internal/workload"
 
@@ -377,48 +376,6 @@ func (p paramFlags) Set(s string) error {
 	return nil
 }
 
-// resolveTarget turns the -target / -technique flag pair into a
-// registry entry and an algorithm. Either flag alone is enough: a bare
-// technique selects the like-named target (the historical CLI
-// contract), a bare target runs its default algorithm.
-func resolveTarget(kind, technique string, params map[string]string) (core.TargetInfo, core.TargetConfig, core.Algorithm, error) {
-	if kind == "" {
-		kind = technique
-	}
-	if kind == "" {
-		kind = "scifi"
-	}
-	info, ok := core.LookupTarget(kind)
-	if !ok {
-		return core.TargetInfo{}, core.TargetConfig{}, core.Algorithm{},
-			fmt.Errorf("unknown target %q (see 'goofi targets')", kind)
-	}
-	algName := technique
-	if algName == "" {
-		algName = info.Algorithm
-	}
-	alg, ok := core.Algorithms()[algName]
-	if !ok {
-		return core.TargetInfo{}, core.TargetConfig{}, core.Algorithm{},
-			fmt.Errorf("unknown technique %q", algName)
-	}
-	return info, core.TargetConfig{Params: params}, alg, nil
-}
-
-// registryFactory builds the board factory from a registry entry. The
-// first construction is validated eagerly by the caller; later ones
-// reuse the same config, so a failure there is a programming error the
-// runner's recovery layer converts to a wedge.
-func registryFactory(info core.TargetInfo, cfg core.TargetConfig) func() core.TargetSystem {
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}
-}
-
 func cmdTargets(args []string) error {
 	fs := flag.NewFlagSet("targets", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -473,28 +430,26 @@ func addRobustFlags(fs *flag.FlagSet) *robustFlags {
 	}
 }
 
-// options returns the scheduler options the flag values ask for.
-func (rf *robustFlags) options() []core.RunnerOption {
-	if *rf.maxRetries == 0 && *rf.boardThreshold == 0 && *rf.watchdog == 0 {
-		return nil
-	}
-	return []core.RunnerOption{core.WithRetryPolicy(core.RetryPolicy{
+// retry returns the retry policy the flag values ask for (the zero
+// policy, fail-fast, unless a flag is set).
+func (rf *robustFlags) retry() core.RetryPolicy {
+	return core.RetryPolicy{
 		MaxRetries:            *rf.maxRetries,
 		BoardFailureThreshold: *rf.boardThreshold,
 		WatchdogTimeout:       *rf.watchdog,
-	})}
+	}
 }
 
-// wrapFactory layers the chaos fault model over a target factory when
-// any chaos probability is set. Each board draws from its own stream,
+// wrapBoard layers the chaos fault model over every board when any
+// chaos probability is set. Each board draws from its own stream,
 // derived from -chaos-seed by creation order.
-func (rf *robustFlags) wrapFactory(factory func() core.TargetSystem) func() core.TargetSystem {
+func (rf *robustFlags) wrapBoard() func(core.TargetSystem) core.TargetSystem {
 	if *rf.chaosScanRead == 0 && *rf.chaosScanWrite == 0 && *rf.chaosHang == 0 {
-		return factory
+		return nil
 	}
 	var n int64
-	return func() core.TargetSystem {
-		return chaos.Wrap(factory(), chaos.Config{
+	return func(ts core.TargetSystem) core.TargetSystem {
+		return chaos.Wrap(ts, chaos.Config{
 			Seed:               *rf.chaosSeed + atomic.AddInt64(&n, 1),
 			ScanReadCorruption: *rf.chaosScanRead,
 			ScanWriteError:     *rf.chaosScanWrite,
@@ -587,13 +542,81 @@ func (tf *telemetryFlags) start(boards int) (tr *telemetry.Tracer, prog *telemet
 	return tr, prog, stop, nil
 }
 
-// storeSpans drains the tracer into the CampaignTelemetry table so the
-// analysis phase can break campaign time down offline.
-func storeSpans(st *campaign.Store, name string, tr *telemetry.Tracer) error {
-	if tr == nil {
+// harnessFlags is the per-invocation flag group shared by run and
+// resume: these settings change how a run executes, never its records,
+// so resume takes them afresh instead of reading them back.
+type harnessFlags struct {
+	boards *int
+	ckpt   *int
+	quiet  *bool
+	rf     *robustFlags
+	tf     *telemetryFlags
+}
+
+func addHarnessFlags(fs *flag.FlagSet) *harnessFlags {
+	return &harnessFlags{
+		boards: fs.Int("boards", 1, "number of simulated boards to run in parallel"),
+		ckpt: fs.Int("checkpoint", core.DefaultCheckpointInterval,
+			"experiments between durable checkpoints (0 disables crash recovery)"),
+		quiet: fs.Bool("quiet", false, "suppress the progress line"),
+		rf:    addRobustFlags(fs),
+		tf:    addTelemetryFlags(fs),
+	}
+}
+
+// execute builds the campaign's runner from its settings and this
+// invocation's harness flags, runs it (or re-runs one experiment when
+// rerun is set), and prints the summary.
+func (hf *harnessFlags) execute(cmd string, st *campaign.Store, camp *campaign.Campaign,
+	set runspec.Settings, resume *campaign.Checkpoint, rerun string) error {
+	tr, prog, stopTelemetry, err := hf.tf.start(*hf.boards)
+	if err != nil {
+		return err
+	}
+	defer stopTelemetry()
+	at := runspec.Attach{
+		Options:   []core.RunnerOption{core.WithTelemetry(tr, prog)},
+		WrapBoard: hf.rf.wrapBoard(),
+	}
+	if !*hf.quiet {
+		at.Options = append(at.Options, core.WithProgress(progressLine))
+	}
+	spec := runspec.Spec{Settings: set, Harness: runspec.Harness{
+		Boards: *hf.boards, Checkpoint: *hf.ckpt, Retry: hf.rf.retry(),
+	}}
+	run, err := runspec.Build(st, camp, spec, resume, at)
+	if err != nil {
+		return fmt.Errorf("%s: %w", cmd, err)
+	}
+	defer run.Sink.Close()
+	if rerun != "" {
+		ex, err := run.Runner.Rerun(rerun, true)
+		if err != nil {
+			return err
+		}
+		if err := run.Sink.Close(); err != nil {
+			return err
+		}
+		if err := st.DB().Checkpoint(); err != nil {
+			return err
+		}
+		fmt.Printf("\nre-ran %s as %s (outcome: %s)\n", rerun, ex.Name, ex.Result.Outcome.Status)
 		return nil
 	}
-	return st.LogTelemetry(name, tr.Drain())
+	if resume != nil {
+		fmt.Printf("resuming %s: %d/%d experiments already durable\n",
+			camp.Name, run.Resumed, camp.NumExperiments)
+	}
+	sum, err := run.Execute(context.Background())
+	if err != nil {
+		return err
+	}
+	stopTelemetry()
+	if _, err := run.Finish(sum, tr); err != nil {
+		return err
+	}
+	printSummary(sum, run.Resumed, prog)
+	return nil
 }
 
 func cmdRun(args []string) error {
@@ -606,23 +629,22 @@ func cmdRun(args []string) error {
 	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
 	rerun := fs.String("rerun", "", "re-run one experiment by name (detail mode), recording parentExperiment")
 	preFilter := fs.Bool("pre-injection", false, "enable pre-injection liveness filtering")
-	boards := fs.Int("boards", 1, "number of simulated boards to run in parallel")
-	ckpt := fs.Int("checkpoint", core.DefaultCheckpointInterval,
-		"experiments between durable checkpoints (0 disables crash recovery)")
 	noFwd := fs.Bool("no-checkpoints", false,
 		"disable checkpoint fast-forwarding (every experiment replays the full fault-free prefix)")
 	placement := fs.String("forward-placement", core.PlacementInterval,
 		"checkpoint placement strategy: interval (evenly spaced over the injection window) or optimal (minimises expected re-emulation over the drawn injection plan)")
 	noFast := fs.Bool("no-fastpath", false,
 		"run every cycle through the cycle-accurate step path instead of thor's batched fast path (outcomes are identical either way; scifi technique only)")
-	quiet := fs.Bool("quiet", false, "suppress the progress line")
-	rf := addRobustFlags(fs)
-	tf := addTelemetryFlags(fs)
+	hf := addHarnessFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *name == "" {
 		return fmt.Errorf("run: -campaign is required")
+	}
+	if *placement != core.PlacementInterval && *placement != core.PlacementOptimal {
+		return fmt.Errorf("run: unknown -forward-placement %q (want %q or %q)",
+			*placement, core.PlacementInterval, core.PlacementOptimal)
 	}
 	st, db, err := openStore(*dbPath)
 	if err != nil {
@@ -633,123 +655,27 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	tsd, err := st.GetTargetSystem(camp.TargetName)
-	if err != nil {
-		return err
-	}
 	if *noFast {
 		params["fastpath"] = "off"
 	}
-	info, tcfg, alg, err := resolveTarget(*targetKind, *technique, params)
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
+	set := runspec.Settings{
+		TargetKind:   *targetKind,
+		Technique:    *technique,
+		TargetParams: params,
+		PreInjection: *preFilter,
+		Forwarding:   *placement,
 	}
-	// Build one board eagerly so a bad target configuration fails here
-	// with a real error instead of panicking inside the board pool.
-	if _, err := info.New(tcfg); err != nil {
-		return fmt.Errorf("run: target %q: %w", info.Kind, err)
+	if *noFwd {
+		set.Forwarding = runspec.ForwardOff
 	}
-	factory := rf.wrapFactory(registryFactory(info, tcfg))
-	// Batch LoggedSystemState writes: the scheduler flushes the sink at
-	// checkpoints and on termination, and Close drains it before save.
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
-	tr, prog, stopTelemetry, err := tf.start(*boards)
-	if err != nil {
-		return err
-	}
-	defer stopTelemetry()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(*boards, factory),
-		core.WithTelemetry(tr, prog),
-	}
-	opts = append(opts, rf.options()...)
-	if *ckpt > 0 {
-		opts = append(opts, core.WithCheckpoints(*ckpt))
-	}
-	switch {
-	case *noFwd:
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Disabled: true}))
-	case *placement == core.PlacementOptimal:
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Placement: core.PlacementOptimal}))
-	case *placement != core.PlacementInterval:
-		return fmt.Errorf("run: unknown -forward-placement %q (want %q or %q)",
-			*placement, core.PlacementInterval, core.PlacementOptimal)
-	}
-	if !*quiet {
-		opts = append(opts, core.WithProgress(progressLine))
-	}
-	if *preFilter {
-		a, err := preinject.AnalyzeWorkload(thor.DefaultConfig(), camp)
-		if err != nil {
-			return fmt.Errorf("run: pre-injection analysis: %w", err)
-		}
-		opts = append(opts, core.WithInjectionFilter(a.Filter()))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
-	if err != nil {
-		return err
-	}
-	if *rerun != "" {
-		ex, err := r.Rerun(*rerun, true)
-		if err != nil {
-			return err
-		}
-		if err := sink.Close(); err != nil {
-			return err
-		}
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("\nre-ran %s as %s (outcome: %s)\n", *rerun, ex.Name, ex.Result.Outcome.Status)
-		return nil
-	}
-	// A fresh run starts from a clean slate: previous results, phase
-	// spans, and any stale resume cursor go.
-	if err := st.DeleteCheckpoint(camp.Name); err != nil {
-		return err
-	}
-	if err := st.DeleteExperiments(camp.Name); err != nil {
-		return err
-	}
-	if err := st.DeleteTelemetry(camp.Name); err != nil {
-		return err
-	}
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	stopTelemetry()
-	if err := storeSpans(st, camp.Name, tr); err != nil {
-		return err
-	}
-	return finishCampaign(st, db, sink, camp.Name, sum, 0, prog)
+	return hf.execute("run", st, camp, set, nil, *rerun)
 }
 
-// finishCampaign drains the sink, clears the resume cursor of a fully
-// completed campaign, compacts the WAL into the snapshot, and prints the
-// summary. resumed is how many experiments an earlier interrupted run
-// had already contributed. The wall-clock and throughput lines come
-// from the telemetry Progress tracker so the summary and the /progress
-// endpoint can't drift.
-func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSink,
-	name string, sum *core.Summary, resumed int, prog *telemetry.Progress) error {
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	camp, err := st.GetCampaign(name)
-	if err != nil {
-		return err
-	}
-	if resumed+sum.Experiments >= camp.NumExperiments {
-		if err := st.DeleteCheckpoint(name); err != nil {
-			return err
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		return err
-	}
+// printSummary prints a finished run's summary. resumed is how many
+// experiments an earlier interrupted run had already contributed. The
+// wall-clock and throughput lines come from the telemetry Progress
+// tracker so the summary and the /progress endpoint can't drift.
+func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 	if resumed > 0 {
 		fmt.Printf("\ncampaign %s finished: %d experiments this run (%d restored from checkpoint), %d injected, %d skipped by pre-injection filter\n",
 			sum.Campaign, sum.Experiments, resumed, sum.Injected, sum.Skipped)
@@ -757,13 +683,10 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		fmt.Printf("\ncampaign %s finished: %d experiments, %d injected, %d skipped by pre-injection filter\n",
 			sum.Campaign, sum.Experiments, sum.Injected, sum.Skipped)
 	}
-	if prog != nil {
-		s := prog.Snapshot()
-		if s.ElapsedSeconds > 0 {
-			fmt.Printf("  wall clock: %v (%.1f records/sec)\n",
-				time.Duration(s.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
-				s.RecordsPerSecond)
-		}
+	if s := prog.Snapshot(); s.ElapsedSeconds > 0 {
+		fmt.Printf("  wall clock: %v (%.1f records/sec)\n",
+			time.Duration(s.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
+			s.RecordsPerSecond)
 	}
 	statuses := make([]string, 0, len(sum.ByStatus))
 	for status := range sum.ByStatus {
@@ -791,28 +714,19 @@ func finishCampaign(st *campaign.Store, db *sqldb.DB, sink *campaign.BatchingSin
 		fmt.Printf("  harness recovery: %d retries, %d invalid runs, %d boards quarantined\n",
 			sum.Retried, sum.InvalidRuns, sum.QuarantinedBoards)
 	}
-	return nil
 }
 
 // cmdResume continues an interrupted campaign from its durable cursor:
 // already-logged experiments are skipped and the rest of the same plan
-// runs, producing results byte-identical to an uninterrupted run.
+// runs under the settings `goofi run` stored, producing results
+// byte-identical to an uninterrupted run.
 func cmdResume(args []string) error {
 	fs := flag.NewFlagSet("resume", flag.ContinueOnError)
 	dbPath := fs.String("db", "goofi.db", "GOOFI database file")
 	name := fs.String("campaign", "", "campaign to resume (or pass it as the positional argument)")
-	technique := fs.String("technique", "", "fault injection algorithm: scifi, swifi-preruntime, swifi-runtime, pin-level (default: the target's own)")
-	targetKind := fs.String("target", "", "target system kind (see 'goofi targets'; default: derived from -technique, else scifi)")
-	params := paramFlags{}
-	fs.Var(params, "target-param", "target-specific key=value parameter (repeatable)")
-	boards := fs.Int("boards", 1, "number of simulated boards to run in parallel")
-	ckpt := fs.Int("checkpoint", core.DefaultCheckpointInterval,
-		"experiments between durable checkpoints (0 disables crash recovery)")
-	quiet := fs.Bool("quiet", false, "suppress the progress line")
 	retryInvalid := fs.Bool("retry-invalid", false,
 		"delete invalid-run records and re-attempt those experiments")
-	rf := addRobustFlags(fs)
-	tf := addTelemetryFlags(fs)
+	hf := addHarnessFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -828,10 +742,6 @@ func cmdResume(args []string) error {
 	}
 	defer db.Close()
 	camp, err := st.GetCampaign(*name)
-	if err != nil {
-		return err
-	}
-	tsd, err := st.GetTargetSystem(camp.TargetName)
 	if err != nil {
 		return err
 	}
@@ -866,49 +776,13 @@ func cmdResume(args []string) error {
 		cp.Completed = kept
 		fmt.Printf("re-attempting %d invalid run(s)\n", dropped)
 	}
-	info, tcfg, alg, err := resolveTarget(*targetKind, *technique, params)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if _, err := info.New(tcfg); err != nil {
-		return fmt.Errorf("resume: target %q: %w", info.Kind, err)
-	}
-	factory := rf.wrapFactory(registryFactory(info, tcfg))
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
-	tr, prog, stopTelemetry, err := tf.start(*boards)
+	// A campaign run before settings were stored gets the default ones,
+	// exactly what a flagless resume always used.
+	set, err := runspec.Load(st, camp.Name)
 	if err != nil {
 		return err
 	}
-	defer stopTelemetry()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(*boards, factory),
-		core.WithResume(cp),
-		core.WithTelemetry(tr, prog),
-	}
-	opts = append(opts, rf.options()...)
-	if *ckpt > 0 {
-		opts = append(opts, core.WithCheckpoints(*ckpt))
-	}
-	if !*quiet {
-		opts = append(opts, core.WithProgress(progressLine))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("resuming %s: %d/%d experiments already durable\n",
-		camp.Name, len(cp.Completed), camp.NumExperiments)
-	sum, err := r.Run(context.Background())
-	if err != nil {
-		return err
-	}
-	stopTelemetry()
-	if err := storeSpans(st, camp.Name, tr); err != nil {
-		return err
-	}
-	return finishCampaign(st, db, sink, camp.Name, sum, len(cp.Completed), prog)
+	return hf.execute("resume", st, camp, set, cp, "")
 }
 
 // progressLine renders the Fig 7 progress window on one terminal line.

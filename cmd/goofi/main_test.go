@@ -2,14 +2,19 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"goofi/internal/analysis"
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/runspec"
 	"goofi/internal/scifi"
 	"goofi/internal/sqldb"
 	"goofi/internal/thor"
@@ -213,6 +218,184 @@ func TestResumeCommand(t *testing.T) {
 	// The resumed data feeds the analysis phase like any other.
 	if err := runCmd(t, "analyze", "-db", db, "-campaign", "res"); err != nil {
 		t.Fatalf("goofi analyze after resume: %v", err)
+	}
+}
+
+// captureRun invokes the CLI entry point and returns what it printed.
+func captureRun(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = run(args)
+	os.Stdout = stdout
+	w.Close()
+	return <-out, err
+}
+
+// loggedState returns a campaign's LoggedSystemState rows as JSON and
+// its rendered analysis report.
+func loggedState(t *testing.T, db, name string) ([]string, string) {
+	t.Helper()
+	st, sdb, err := openStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sdb.Close()
+	recs, err := st.Experiments(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]string, len(recs))
+	for i, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = string(b)
+	}
+	rep, err := analysis.AnalyzeAndStore(st, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, rep.Render()
+}
+
+// TestResumeRepeatsRunSettings stops a ~2,000-experiment campaign
+// halfway through the builder `goofi run` uses and abandons its
+// database the way a killed process would, resumes it with a flagless
+// `goofi resume`, and requires the LoggedSystemState rows and the
+// analysis report of an uninterrupted run. Resume must repeat the
+// settings run stored: the pre-injection filter redraws the injections
+// it rejects, so a resume without it fails the plan-hash check, and a
+// run with forwarding off must stay cold after the resume.
+func TestResumeRepeatsRunSettings(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		set   runspec.Settings // what run stores for flags
+		ckpt  int
+	}{
+		{"pre-injection", []string{"-pre-injection", "-checkpoint", "200"},
+			runspec.Settings{PreInjection: true, Forwarding: core.PlacementInterval}, 200},
+		{"no-forward", []string{"-no-checkpoints", "-target-param", "fastpath=off"},
+			runspec.Settings{TargetParams: map[string]string{"fastpath": "off"}, Forwarding: runspec.ForwardOff},
+			core.DefaultCheckpointInterval},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			setup := func() string {
+				db := dbPath(t)
+				for _, step := range [][]string{
+					{"configure", "-db", db},
+					{"setup", "-db", db, "-campaign", "c", "-workload", "sort16",
+						"-window", "10:1600", "-experiments", "2000", "-timeout", "100000"},
+				} {
+					if err := runCmd(t, step...); err != nil {
+						t.Fatalf("goofi %s: %v", strings.Join(step, " "), err)
+					}
+				}
+				return db
+			}
+
+			full := setup()
+			out, err := captureRun(t, append([]string{"run", "-db", full, "-campaign", "c", "-quiet"}, tc.flags...)...)
+			if err != nil {
+				t.Fatalf("goofi run: %v", err)
+			}
+			if tc.set.Forwarding == runspec.ForwardOff && strings.Contains(out, "fast-forwarded") {
+				t.Errorf("run with forwarding off fast-forwarded:\n%s", out)
+			}
+			st, sdb, err := openStore(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := runspec.Load(st, "c")
+			sdb.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stored, tc.set) {
+				t.Fatalf("run stored settings %+v, want %+v", stored, tc.set)
+			}
+			wantRows, wantReport := loggedState(t, full, "c")
+
+			// The interrupted run: stop halfway, then walk away from the
+			// open database without compaction or cursor cleanup.
+			cut := setup()
+			st, sdb, err = openStore(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			camp, err := st.GetCampaign("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				r    *runspec.Run
+				mu   sync.Mutex
+				seen int
+			)
+			stopHalfway := core.WithProgress(func(ev core.ProgressEvent) {
+				if ev.Phase != "experiment" {
+					return
+				}
+				mu.Lock()
+				seen++
+				stop := seen == n/2
+				mu.Unlock()
+				if stop {
+					r.Runner.Stop()
+				}
+			})
+			spec := runspec.Spec{Settings: tc.set, Harness: runspec.Harness{Boards: 1, Checkpoint: tc.ckpt}}
+			r, err = runspec.Build(st, camp, spec, nil, runspec.Attach{Options: []core.RunnerOption{stopHalfway}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := r.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sdb.Close()
+			if sum.Experiments >= n {
+				t.Fatalf("interruption failed: %d experiments ran", sum.Experiments)
+			}
+			if tc.set.PreInjection && sum.Skipped == 0 {
+				t.Fatal("the pre-injection filter skipped nothing; the case proves nothing")
+			}
+
+			out, err = captureRun(t, "resume", "-db", cut, "-campaign", "c", "-quiet")
+			if err != nil {
+				t.Fatalf("goofi resume: %v", err)
+			}
+			if tc.set.Forwarding == runspec.ForwardOff && strings.Contains(out, "fast-forwarded") {
+				t.Errorf("resumed run fast-forwarded under a forwarding-off spec:\n%s", out)
+			}
+			gotRows, gotReport := loggedState(t, cut, "c")
+			if len(gotRows) != len(wantRows) {
+				t.Fatalf("resumed campaign logged %d rows, uninterrupted %d", len(gotRows), len(wantRows))
+			}
+			for i := range gotRows {
+				if gotRows[i] != wantRows[i] {
+					t.Fatalf("row %d differs\n resumed: %s\n    full: %s", i, gotRows[i], wantRows[i])
+				}
+			}
+			if gotReport != wantReport {
+				t.Errorf("analysis report differs\n resumed:\n%s\n full:\n%s", gotReport, wantReport)
+			}
+		})
 	}
 }
 

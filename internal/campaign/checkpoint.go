@@ -43,6 +43,39 @@ const checkpointDDL = `CREATE TABLE IF NOT EXISTS CampaignCheckpoint (
 		FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName)
 	)`
 
+// runSpecDDL is appended to Schema in store.go. A campaign's run
+// settings (encoded by the runspec package) live next to its cursor but
+// outlive it: resume reads them back even after the cursor is gone.
+const runSpecDDL = `CREATE TABLE IF NOT EXISTS CampaignRunSpec (
+		campaignName TEXT PRIMARY KEY,
+		spec         BLOB NOT NULL,
+		FOREIGN KEY (campaignName) REFERENCES CampaignData (campaignName)
+	)`
+
+// PutRunSpec stores a campaign's encoded run settings. It raises no
+// barrier: written before the run's first record, the row reaches the
+// write-ahead log first, so any durable record implies a durable spec.
+func (s *Store) PutRunSpec(campaignName string, spec []byte) error {
+	n, err := s.db.Exec(`UPDATE CampaignRunSpec SET spec = ? WHERE campaignName = ?`,
+		sqldb.Blob(spec), sqldb.Text(campaignName))
+	if err == nil && n == 0 {
+		_, err = s.db.Exec(`INSERT INTO CampaignRunSpec VALUES (?, ?)`,
+			sqldb.Text(campaignName), sqldb.Blob(spec))
+	}
+	return err
+}
+
+// RunSpec loads a campaign's encoded run settings, or nil when none
+// were stored.
+func (s *Store) RunSpec(campaignName string) ([]byte, error) {
+	r, err := s.db.Query(`SELECT spec FROM CampaignRunSpec WHERE campaignName = ?`,
+		sqldb.Text(campaignName))
+	if err != nil || len(r.Rows) == 0 {
+		return nil, err
+	}
+	return r.Rows[0][0].B, nil
+}
+
 // SaveCheckpoint stores the campaign cursor and raises a durability
 // barrier, so a checkpoint on disk always implies its experiments are on
 // disk too. Callers that buffer records (BatchingSink) must flush before

@@ -50,6 +50,8 @@ var Schema = []string{
 		ON LoggedSystemState (parentExperiment)`,
 	// Durable campaign cursor for crash recovery (see checkpoint.go).
 	checkpointDDL,
+	// Run settings resume repeats (see checkpoint.go).
+	runSpecDDL,
 	// Campaign phase spans from the telemetry tracer (see telemetry.go).
 	telemetryDDL,
 }

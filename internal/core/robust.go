@@ -12,8 +12,7 @@ import (
 // RetryPolicy configures the runner's fault-tolerance layer: per-attempt
 // watchdogs, retry with capped exponential backoff, and the board
 // circuit breaker. The zero value disables the layer entirely, keeping
-// the legacy semantics (first experiment error aborts dispatch); use
-// DefaultRetryPolicy for sensible production values.
+// the legacy semantics (first experiment error aborts dispatch).
 type RetryPolicy struct {
 	// MaxRetries is how many times a failed experiment is re-attempted
 	// beyond its first execution. An experiment still failing after
@@ -54,17 +53,6 @@ const (
 	// DefaultBackoffMax caps the exponential growth.
 	DefaultBackoffMax = 250 * time.Millisecond
 )
-
-// DefaultRetryPolicy returns the production policy used by the goofi
-// CLI: two retries, quarantine after two consecutive board failures,
-// a generous wall-clock watchdog.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxRetries:            2,
-		BoardFailureThreshold: 2,
-		WatchdogTimeout:       30 * time.Second,
-	}
-}
 
 // enabled reports whether any part of the fault-tolerance layer is on.
 // A fully zero policy preserves the legacy abort-on-first-error

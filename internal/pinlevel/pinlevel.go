@@ -18,7 +18,7 @@ import (
 )
 
 // DefaultHoldCycles is how long a forced pin fault stays on the pins
-// before being released, unless overridden with WithHoldCycles.
+// before being released.
 const DefaultHoldCycles = 64
 
 // Target drives THOR-S through its boundary-scan register. It reuses the
@@ -34,12 +34,6 @@ type Target struct {
 // New returns a pin-level target.
 func New(cfg thor.Config) *Target {
 	return &Target{Target: scifi.New(cfg), holdCycles: DefaultHoldCycles}
-}
-
-// WithHoldCycles sets how long a forced pin fault is held.
-func (t *Target) WithHoldCycles(n uint64) *Target {
-	t.holdCycles = n
-	return t
 }
 
 // dataInField locates the pin.data_in cells in the boundary register.

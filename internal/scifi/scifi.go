@@ -107,11 +107,6 @@ func New(cfg thor.Config, opts ...Option) *Target {
 	return t
 }
 
-// WithEnvRegistry replaces the environment simulator registry.
-func WithEnvRegistry(r *envsim.Registry) Option {
-	return func(t *Target) { t.envs = r }
-}
-
 // NoFastPath disables thor's batched fast-path execution and runs every
 // cycle through the cycle-accurate Step path. Outcomes are identical
 // either way (pinned by the differential suites); this exists for A/B

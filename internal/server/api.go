@@ -99,13 +99,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad submission: %v", err)
 		return
 	}
-	req.normalize()
+	spec := req.normalize()
 	if req.Shards == 0 {
 		// Inherit the daemon-wide scale-out default; the persisted spec
 		// carries the resolved count so recovery reruns the same way.
 		req.Shards = s.cfg.DefaultShards
 	}
-	if err := req.validate(); err != nil {
+	if err := req.validate(spec); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad submission: %v", err)
 		return
 	}
@@ -138,7 +138,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	tsd, err := req.targetData()
+	tsd, err := spec.SystemData(req.Campaign.TargetName)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "configure target: %v", err)
 		return
@@ -159,7 +159,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	j := &job{spec: req, state: StatePending}
+	j := &job{spec: req, run: spec, state: StatePending}
 	if err := s.enqueue(j); err != nil {
 		// Roll the durable row back so a rejected submission is not
 		// resurrected on the next boot.

@@ -9,6 +9,7 @@ import (
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/runspec"
 	"goofi/internal/shard"
 	"goofi/internal/sqldb"
 	"goofi/internal/telemetry"
@@ -66,23 +67,12 @@ type SubmitRequest struct {
 	ExternalWorkers bool `json:"externalWorkers,omitempty"`
 }
 
-// normalize fills the defaulted fields in place. Either of TargetKind
-// and Technique alone is enough: a bare technique selects the
-// like-named target (the historical API contract), a bare target kind
-// runs its default algorithm, and both empty means scifi.
-func (sr *SubmitRequest) normalize() {
-	if sr.TargetKind == "" {
-		sr.TargetKind = sr.Technique
-	}
-	if sr.TargetKind == "" {
-		sr.TargetKind = "scifi"
-	}
-	if info, ok := core.LookupTarget(sr.TargetKind); ok {
-		sr.TargetKind = info.Kind // canonicalize aliases
-		if sr.Technique == "" {
-			sr.Technique = info.Algorithm
-		}
-	}
+// normalize fills the defaulted fields in place and returns the run
+// spec the request asks for. It is the one place the JSON checkpoint
+// convention (0 = daemon default, -1 = disabled) is mapped; a stored,
+// already-normalized request normalizes to the same spec, which is how
+// recovery rebuilds it.
+func (sr *SubmitRequest) normalize() runspec.Spec {
 	if sr.ImageBytes <= 0 {
 		sr.ImageBytes = 4096
 	}
@@ -104,10 +94,32 @@ func (sr *SubmitRequest) normalize() {
 			sr.Campaign.LogMode = campaign.LogNormal
 		}
 	}
+	params := make(map[string]string, len(sr.TargetParams)+1)
+	for k, v := range sr.TargetParams {
+		params[k] = v
+	}
+	if _, ok := params["image-bytes"]; !ok {
+		params["image-bytes"] = strconv.Itoa(sr.ImageBytes)
+	}
+	spec := runspec.Spec{
+		Settings: runspec.Settings{TargetKind: sr.TargetKind, Technique: sr.Technique, TargetParams: params},
+		Harness: runspec.Harness{
+			Boards:     sr.Boards,
+			Checkpoint: max(sr.Checkpoint, 0),
+			Retry: core.RetryPolicy{
+				MaxRetries:            sr.MaxRetries,
+				BoardFailureThreshold: sr.BoardFailureThreshold,
+			},
+		},
+	}
+	if sr.NoForward {
+		spec.Forwarding = runspec.ForwardOff
+	}
+	return spec
 }
 
 // validate rejects a submission before any state is created.
-func (sr *SubmitRequest) validate() error {
+func (sr *SubmitRequest) validate(spec runspec.Spec) error {
 	if !campaign.ValidTenant(sr.Tenant) {
 		return fmt.Errorf("invalid tenant name %q", sr.Tenant)
 	}
@@ -117,53 +129,13 @@ func (sr *SubmitRequest) validate() error {
 	if err := sr.Campaign.Validate(); err != nil {
 		return err
 	}
-	if _, ok := core.Algorithms()[sr.Technique]; !ok {
-		return fmt.Errorf("unknown technique %q", sr.Technique)
-	}
-	if _, ok := core.LookupTarget(sr.TargetKind); !ok {
-		return fmt.Errorf("unknown target kind %q", sr.TargetKind)
+	if _, _, err := spec.Resolve(); err != nil {
+		return err
 	}
 	if sr.Shards < 0 {
 		return fmt.Errorf("negative shard count %d", sr.Shards)
 	}
 	return nil
-}
-
-// targetConfig folds the request's target knobs into a registry config.
-func (sr *SubmitRequest) targetConfig() core.TargetConfig {
-	params := make(map[string]string, len(sr.TargetParams)+1)
-	for k, v := range sr.TargetParams {
-		params[k] = v
-	}
-	if _, ok := params["image-bytes"]; !ok {
-		params["image-bytes"] = strconv.Itoa(sr.ImageBytes)
-	}
-	return core.TargetConfig{Params: params}
-}
-
-// targetData builds the TargetSystemData for the request's target kind.
-func (sr *SubmitRequest) targetData() (*campaign.TargetSystemData, error) {
-	info, ok := core.LookupTarget(sr.TargetKind)
-	if !ok {
-		return nil, fmt.Errorf("unknown target kind %q", sr.TargetKind)
-	}
-	return info.SystemData(sr.Campaign.TargetName, sr.targetConfig())
-}
-
-// factory builds fresh target systems from the registry — the same
-// construction path as the goofi CLI. validate has already confirmed
-// the kind exists; a construction failure afterwards is a programming
-// error the runner's recovery layer converts to a wedge.
-func (sr *SubmitRequest) factory() func() core.TargetSystem {
-	info, _ := core.LookupTarget(sr.TargetKind)
-	cfg := sr.targetConfig()
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}
 }
 
 // Job lifecycle states. Pending and running jobs become pending again
@@ -182,7 +154,8 @@ const (
 // state while it executes.
 type job struct {
 	spec    SubmitRequest
-	recover bool // re-enqueued at boot: resume from the durable cursor
+	run     runspec.Spec // what spec normalizes to
+	recover bool         // re-enqueued at boot: resume from the durable cursor
 
 	mu        sync.Mutex
 	state     string
@@ -299,9 +272,9 @@ func pendingJobRows(db *sqldb.DB) ([]*SubmitRequest, error) {
 	return out, nil
 }
 
-// execute runs one campaign end to end, mirroring `goofi run` (and
-// `goofi resume` for recovered jobs) exactly: same sink, same option
-// set, same fresh-run deletes, same teardown order. That parity is what
+// execute runs one campaign end to end through the same builder as
+// `goofi run` (and `goofi resume` for recovered jobs): same sink, same
+// option set, same fresh-run reset, same teardown. That parity is what
 // the byte-identity differential tests pin.
 func (s *Server) execute(ctx context.Context, j *job) {
 	spec := &j.spec
@@ -323,7 +296,7 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		j.setState(StateFailed, err.Error())
 		s.markDurable(name, spec.Tenant, StateFailed)
 	}
-	st, db, release, err := s.tenants.Acquire(spec.Tenant)
+	st, _, release, err := s.tenants.Acquire(spec.Tenant)
 	if err != nil {
 		fail(err)
 		return
@@ -334,89 +307,38 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		fail(err)
 		return
 	}
-	tsd, err := st.GetTargetSystem(camp.TargetName)
-	if err != nil {
-		fail(err)
-		return
-	}
-	alg := core.Algorithms()[spec.Technique]
-	factory := spec.factory()
 
 	// A recovered job resumes from whatever the interrupted run made
 	// durable; a fresh submission starts from a clean slate.
 	var resume *campaign.Checkpoint
 	if j.recover {
-		cp, err := st.RecoverCursor(name)
-		if err != nil {
+		if resume, err = st.RecoverCursor(name); err != nil {
 			fail(err)
 			return
 		}
-		if cp.Reference || len(cp.Completed) > 0 {
-			resume = cp
-		}
 	}
-
-	sink := campaign.NewBatchingSink(st, 0)
-	defer sink.Close()
 	prog := telemetry.NewProgress(s.fleet.Capacity())
 	tr := telemetry.NewTracer()
-	opts := []core.RunnerOption{
-		core.WithSink(sink),
-		core.WithBoards(spec.Boards, factory),
+	run, err := runspec.Build(st, camp, j.run, resume, runspec.Attach{Options: []core.RunnerOption{
 		core.WithFleet(s.fleet),
 		core.WithTelemetry(tr, prog),
-	}
-	if spec.Checkpoint > 0 {
-		opts = append(opts, core.WithCheckpoints(spec.Checkpoint))
-	}
-	if spec.NoForward {
-		opts = append(opts, core.WithForwarding(core.ForwardConfig{Disabled: true}))
-	}
-	if spec.MaxRetries > 0 || spec.BoardFailureThreshold > 0 {
-		opts = append(opts, core.WithRetryPolicy(core.RetryPolicy{
-			MaxRetries:            spec.MaxRetries,
-			BoardFailureThreshold: spec.BoardFailureThreshold,
-		}))
-	}
-	if resume != nil {
-		opts = append(opts, core.WithResume(resume))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, tsd, opts...)
+	}})
 	if err != nil {
 		fail(err)
 		return
 	}
+	defer run.Sink.Close()
 	j.mu.Lock()
-	j.runner = r
+	j.runner = run.Runner
 	j.prog = prog
 	j.state = StateRunning
 	if j.cancelled {
 		// Cancel raced the startup: the handler had no runner to stop.
-		r.Stop()
+		run.Runner.Stop()
 	}
 	j.mu.Unlock()
 
-	resumed := 0
-	if resume != nil {
-		resumed = len(resume.Completed)
-	} else {
-		// Fresh run: previous results, phase spans, and any stale
-		// cursor go — exactly what `goofi run` deletes.
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteExperiments(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteTelemetry(name); err != nil {
-			fail(err)
-			return
-		}
-	}
-
-	sum, runErr := r.Run(ctx)
+	sum, runErr := run.Execute(ctx)
 	j.mu.Lock()
 	j.summary = sum
 	cancelled := j.cancelled
@@ -433,27 +355,8 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		fail(runErr)
 		return
 	}
-	// Clean teardown in `goofi run` order: drain the sink, persist the
-	// phase spans, clear the cursor of a complete campaign, compact.
-	if err := sink.Close(); err != nil {
-		fail(err)
-		return
-	}
-	if tr.Len() > 0 {
-		if err := st.LogTelemetry(name, tr.Drain()); err != nil {
-			fail(err)
-			return
-		}
-	}
-	total := resumed + sum.Experiments
-	complete := total >= camp.NumExperiments
-	if complete {
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
+	complete, err := run.Finish(sum, tr)
+	if err != nil {
 		fail(err)
 		return
 	}

@@ -24,7 +24,8 @@ func (s *Server) recoverJobs() error {
 			return fmt.Errorf("server: recover tenant %s: %w", tenant, err)
 		}
 		for _, spec := range specs {
-			j := &job{spec: *spec, recover: true, state: StatePending}
+			run := spec.normalize()
+			j := &job{spec: *spec, run: run, recover: true, state: StatePending}
 			if err := s.enqueue(j); err != nil {
 				// The queue is sized for steady-state admission; a boot
 				// backlog beyond it stays pending on disk and is picked

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"goofi/internal/core"
+	"goofi/internal/runspec"
 	"goofi/internal/shard"
 	"goofi/internal/telemetry"
 )
@@ -63,15 +64,7 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 	if !j.recover {
 		// Fresh submission: same clean slate as execute(), plus the
 		// worker shard databases of any earlier run of this campaign.
-		if err := st.DeleteCheckpoint(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteExperiments(name); err != nil {
-			fail(err)
-			return
-		}
-		if err := st.DeleteTelemetry(name); err != nil {
+		if err := runspec.Reset(st, name, j.run.Settings); err != nil {
 			fail(err)
 			return
 		}
@@ -84,12 +77,8 @@ func (s *Server) executeSharded(ctx context.Context, j *job) {
 		Store:          st,
 		Campaign:       camp,
 		Target:         tsd,
-		Technique:      spec.Technique,
-		TargetKind:     spec.TargetKind,
-		TargetParams:   spec.TargetParams,
-		ImageBytes:     spec.ImageBytes,
+		Spec:           j.run,
 		Shards:         spec.Shards,
-		Checkpoint:     spec.Checkpoint,
 		HeartbeatEvery: s.cfg.ShardHeartbeat,
 		LeaseTTL:       s.cfg.ShardLeaseTTL,
 	})

@@ -23,6 +23,7 @@ import (
 	"goofi/internal/campaign"
 	"goofi/internal/core"
 	"goofi/internal/faultmodel"
+	"goofi/internal/runspec"
 	"goofi/internal/scifi"
 	"goofi/internal/server"
 	"goofi/internal/shard"
@@ -90,6 +91,40 @@ func soloRun(t *testing.T, camp *campaign.Campaign) *campaign.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// soloRunSpec executes camp under spec on two boards through the
+// builder `goofi run` uses, and returns the store and the summary.
+func soloRunSpec(t *testing.T, camp *campaign.Campaign, spec runspec.Spec) (*campaign.Store, *core.Summary) {
+	t.Helper()
+	db, err := sqldb.OpenAt(filepath.Join(t.TempDir(), "solo.db"), sqldb.SyncBarrier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	st, err := campaign.NewStore(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutTargetSystem(scifi.TargetSystemData(camp.TargetName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutCampaign(camp); err != nil {
+		t.Fatal(err)
+	}
+	spec.Boards = 2
+	run, err := runspec.Build(st, camp, spec, nil, runspec.Attach{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := run.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Finish(sum, nil); err != nil {
+		t.Fatal(err)
+	}
+	return st, sum
 }
 
 // recordBytes renders every end-of-experiment record to canonical JSON

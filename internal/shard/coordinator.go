@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"goofi/internal/campaign"
+	"goofi/internal/runspec"
 )
 
 // DefaultHeartbeat is the lease heartbeat period when the config leaves
@@ -46,21 +47,12 @@ type CoordinatorConfig struct {
 	Store    *campaign.Store
 	Campaign *campaign.Campaign
 	Target   *campaign.TargetSystemData
-	// Technique selects the injection algorithm workers run.
-	Technique string
-	// TargetKind names the registered target system workers construct
-	// (empty: derived from Technique).
-	TargetKind string
-	// TargetParams carries target-specific key=value configuration
-	// handed out with every lease.
-	TargetParams map[string]string
-	// ImageBytes sizes swifi workload images on the workers.
-	ImageBytes int
+	// Spec is the run spec handed out with every lease: the settings
+	// that decide the records plus the workers' harness policy (their
+	// board count excepted — each worker sizes its own pool).
+	Spec runspec.Spec
 	// Shards is how many ranges the plan is partitioned into.
 	Shards int
-	// Checkpoint is the worker durable-cursor interval handed out with
-	// every lease (0 defaults worker-side, -1 disables).
-	Checkpoint int
 	// HeartbeatEvery is the lease liveness cadence (default
 	// DefaultHeartbeat); a lease expires after LeaseTTL without a beat
 	// (default 3×HeartbeatEvery).
@@ -136,9 +128,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: shard count %d < 1", cfg.Shards)
-	}
-	if cfg.Technique == "" {
-		cfg.Technique = "scifi"
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeat
@@ -322,11 +311,7 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 		Range:          rng,
 		Campaign:       c.cfg.Campaign,
 		Target:         c.cfg.Target,
-		Technique:      c.cfg.Technique,
-		TargetKind:     c.cfg.TargetKind,
-		TargetParams:   c.cfg.TargetParams,
-		ImageBytes:     c.cfg.ImageBytes,
-		Checkpoint:     c.cfg.Checkpoint,
+		Spec:           c.cfg.Spec,
 		HeartbeatEvery: c.cfg.HeartbeatEvery,
 	}
 }

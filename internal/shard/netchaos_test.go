@@ -23,19 +23,26 @@ import (
 
 	"goofi/internal/campaign"
 	"goofi/internal/chaos"
+	"goofi/internal/core"
+	"goofi/internal/runspec"
 	"goofi/internal/scifi"
 	"goofi/internal/server"
 	"goofi/internal/shard"
 	"goofi/internal/sqldb"
+	"goofi/internal/telemetry"
 )
 
-// chaosFleet runs camp to completion through a coordinator and one
-// in-process worker per net, every transport call crossing that
-// worker's chaos.Net. Returns the merged canonical store. script, when
-// set, runs alongside the fleet with the live coordinator (partition
-// scheduling); it must return before the campaign can be considered
-// stuck.
-func chaosFleet(t *testing.T, camp *campaign.Campaign, hb, ttl time.Duration,
+// defaultSpec is the run spec of a plain `goofi run`: default target,
+// forwarding on, durable cursors at the default interval.
+var defaultSpec = runspec.Spec{Harness: runspec.Harness{Checkpoint: core.DefaultCheckpointInterval}}
+
+// chaosFleet runs camp under spec to completion through a coordinator
+// and one in-process worker per net, every transport call crossing that
+// worker's chaos.Net (zero-probability nets make a plain fleet).
+// Returns the merged canonical store. script, when set, runs alongside
+// the fleet with the live coordinator (partition scheduling); it must
+// return before the campaign can be considered stuck.
+func chaosFleet(t *testing.T, camp *campaign.Campaign, spec runspec.Spec, hb, ttl time.Duration,
 	nets []*chaos.Net, onRecord []func(*campaign.ExperimentRecord),
 	script func(coord *shard.Coordinator)) *campaign.Store {
 	t.Helper()
@@ -57,6 +64,7 @@ func chaosFleet(t *testing.T, camp *campaign.Campaign, hb, ttl time.Duration,
 	}
 	coord, err := shard.NewCoordinator(shard.CoordinatorConfig{
 		Store: st, Campaign: camp, Target: tsd,
+		Spec:           spec,
 		Shards:         len(nets),
 		HeartbeatEvery: hb,
 		LeaseTTL:       ttl,
@@ -161,7 +169,7 @@ func TestNetChaosConformanceDropDelayDuplicate(t *testing.T) {
 					DropResponseProb: 0.10, DelayProb: 0.2, Delay: 2 * time.Millisecond,
 					DuplicateProb: 0.15, TruncateProb: 0.10}),
 			}
-			st := chaosFleet(t, camp, 50*time.Millisecond, 150*time.Millisecond, nets, nil, nil)
+			st := chaosFleet(t, camp, defaultSpec, 50*time.Millisecond, 150*time.Millisecond, nets, nil, nil)
 			assertIdentical(t, st, "chaosnet", wantRecs, wantReport)
 			if nets[0].Faults()+nets[1].Faults() == 0 {
 				t.Fatal("no network faults fired; the schedule is vacuous")
@@ -185,7 +193,7 @@ func TestNetChaosConformanceAckLoss(t *testing.T) {
 		chaos.NewNet(chaos.NetConfig{Seed: 7, DropResponseProb: 0.5, TruncateProb: 0.25}),
 		chaos.NewNet(chaos.NetConfig{Seed: 8, DropResponseProb: 0.5, TruncateProb: 0.25}),
 	}
-	st := chaosFleet(t, camp, 50*time.Millisecond, 150*time.Millisecond, nets, nil, nil)
+	st := chaosFleet(t, camp, defaultSpec, 50*time.Millisecond, 150*time.Millisecond, nets, nil, nil)
 	assertIdentical(t, st, "chaosack", wantRecs, wantReport)
 	if nets[0].Faults()+nets[1].Faults() == 0 {
 		t.Fatal("no network faults fired; the schedule is vacuous")
@@ -238,7 +246,7 @@ func TestNetChaosConformanceFullPartitionHeal(t *testing.T) {
 			nets[0].Heal()
 		}()
 	}
-	st := chaosFleet(t, camp, 50*time.Millisecond, 150*time.Millisecond, nets,
+	st := chaosFleet(t, camp, defaultSpec, 50*time.Millisecond, 150*time.Millisecond, nets,
 		[]func(*campaign.ExperimentRecord){hook}, script)
 	select {
 	case <-partitioned:
@@ -283,7 +291,7 @@ func TestNetChaosConformanceAsymmetricPartition(t *testing.T) {
 		}()
 	}
 	// Both workers share the partitioned network.
-	st := chaosFleet(t, camp, 50*time.Millisecond, 150*time.Millisecond,
+	st := chaosFleet(t, camp, defaultSpec, 50*time.Millisecond, 150*time.Millisecond,
 		[]*chaos.Net{net, net},
 		[]func(*campaign.ExperimentRecord){hook}, script)
 	select {
@@ -379,4 +387,52 @@ func TestShardWorkerUnauthorized(t *testing.T) {
 	}
 	shutdownServer(t, s)
 	assertIdentical(t, tenantStore(t, dir, "alice"), "confauth", wantRecs, wantReport)
+}
+
+// TestShardConformanceSpec pins that the run spec travels through shard
+// leases: a pre-injection spec and a forwarding-off spec, each run by a
+// plain fleet of one and of two workers, must merge records and a
+// report byte-identical to a solo run of the same spec. The filter
+// redraws the injections it rejects, so identical records prove every
+// worker applied it; the forwarding counter proves the workers ran cold
+// when the spec says so.
+func TestShardConformanceSpec(t *testing.T) {
+	forwarded := func() float64 {
+		return telemetry.Default.Snapshot()["goofi_scheduler_experiments_forwarded_total"]
+	}
+	for _, tc := range []struct {
+		name string
+		set  runspec.Settings
+	}{
+		{"pre-injection", runspec.Settings{PreInjection: true}},
+		{"no-forward", runspec.Settings{Forwarding: runspec.ForwardOff}},
+	} {
+		spec := runspec.Spec{Settings: tc.set, Harness: defaultSpec.Harness}
+		name := "spec-" + tc.name
+		camp := conformanceCampaign(name, 40)
+		solo, sum := soloRunSpec(t, camp, spec)
+		if tc.set.PreInjection && sum.Skipped == 0 {
+			t.Fatalf("%s: the filter skipped no injection; the case proves nothing", tc.name)
+		}
+		wantRecs := recordBytes(t, solo, name)
+		wantReport := reportText(t, solo, name)
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				nets := make([]*chaos.Net, shards)
+				for i := range nets {
+					nets[i] = chaos.NewNet(chaos.NetConfig{Seed: int64(i + 1)})
+				}
+				before := forwarded()
+				st := chaosFleet(t, camp, spec, 50*time.Millisecond, 150*time.Millisecond, nets, nil, nil)
+				n := forwarded() - before
+				if tc.set.Forwarding == runspec.ForwardOff && n != 0 {
+					t.Errorf("workers fast-forwarded %v experiments under a forwarding-off spec", n)
+				}
+				if tc.set.Forwarding == "" && n == 0 {
+					t.Errorf("workers fast-forwarded nothing under a forwarding-on spec")
+				}
+				assertIdentical(t, st, name, wantRecs, wantReport)
+			})
+		}
+	}
 }

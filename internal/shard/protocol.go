@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"goofi/internal/campaign"
+	"goofi/internal/runspec"
 )
 
 // Lease outcomes.
@@ -55,26 +56,16 @@ type LeaseRequest struct {
 
 // LeaseResponse carries a granted range together with everything the
 // worker needs to execute it from a cold start: the campaign and target
-// definitions for its shard database, the technique, and the cadence
-// contract (heartbeat period, durable-cursor interval).
+// definitions for its shard database, the run spec, and the heartbeat
+// period.
 type LeaseResponse struct {
 	Status  string `json:"status"`
 	LeaseID string `json:"leaseId,omitempty"`
 	Range   Range  `json:"range"`
 
-	Campaign  *campaign.Campaign         `json:"campaign,omitempty"`
-	Target    *campaign.TargetSystemData `json:"target,omitempty"`
-	Technique string                     `json:"technique,omitempty"`
-	// TargetKind names the registered target system workers construct
-	// (empty: derived from Technique, the historical contract).
-	TargetKind string `json:"targetKind,omitempty"`
-	// TargetParams carries target-specific key=value configuration.
-	TargetParams map[string]string `json:"targetParams,omitempty"`
-	// ImageBytes sizes swifi workload images (the submit-time knob).
-	ImageBytes int `json:"imageBytes,omitempty"`
-	// Checkpoint is the worker-side durable-cursor interval in
-	// experiments (0 keeps the worker's default, -1 disables).
-	Checkpoint int `json:"checkpoint,omitempty"`
+	Campaign *campaign.Campaign         `json:"campaign,omitempty"`
+	Target   *campaign.TargetSystemData `json:"target,omitempty"`
+	Spec     runspec.Spec               `json:"spec"`
 	// HeartbeatEvery is how often the worker must prove liveness while
 	// it holds the lease.
 	HeartbeatEvery time.Duration `json:"heartbeatEvery,omitempty"`

@@ -14,13 +14,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"goofi/internal/campaign"
 	"goofi/internal/core"
+	"goofi/internal/runspec"
 	"goofi/internal/sqldb"
 
 	// Registered target systems: workers construct targets through the
@@ -79,42 +79,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Poll = 200 * time.Millisecond
 	}
 	return &Worker{cfg: cfg}, nil
-}
-
-// targetFactory resolves the lease's target through the core registry
-// so a worker builds the same target systems the solo run would. An
-// empty TargetKind falls back to the technique name — the historical
-// lease contract, which keeps mixed-version fleets working.
-func targetFactory(lease *LeaseResponse) (func() core.TargetSystem, error) {
-	kind := lease.TargetKind
-	if kind == "" {
-		kind = lease.Technique
-	}
-	if kind == "" {
-		kind = "scifi"
-	}
-	info, ok := core.LookupTarget(kind)
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown target kind %q", kind)
-	}
-	params := make(map[string]string, len(lease.TargetParams)+1)
-	for k, v := range lease.TargetParams {
-		params[k] = v
-	}
-	if _, ok := params["image-bytes"]; !ok && lease.ImageBytes > 0 {
-		params["image-bytes"] = strconv.Itoa(lease.ImageBytes)
-	}
-	cfg := core.TargetConfig{Params: params}
-	if _, err := info.New(cfg); err != nil {
-		return nil, fmt.Errorf("shard: target %q: %w", info.Kind, err)
-	}
-	return func() core.TargetSystem {
-		ts, err := info.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("target %q factory: %v", info.Kind, err))
-		}
-		return ts
-	}, nil
 }
 
 // hookSink forwards to the worker's batching sink and mirrors every
@@ -402,42 +366,26 @@ func (w *Worker) runRange(ctx context.Context, tenants *campaign.TenantDBs, leas
 	if err != nil {
 		return err
 	}
-	alg, ok := core.Algorithms()[lease.Technique]
-	if !ok {
-		return fmt.Errorf("shard: unknown technique %q", lease.Technique)
-	}
-	factory, err := targetFactory(lease)
+	spec := lease.Spec
+	spec.Boards = w.cfg.Boards
+	run, err := runspec.Build(st, camp, spec, cp, runspec.Attach{
+		Options: []core.RunnerOption{
+			core.WithShardRange(lease.Range.Lo, lease.Range.Hi),
+			core.WithForwardSet(w.carried),
+		},
+		WrapSink: func(sink *campaign.BatchingSink) core.ResultSink {
+			return &hookSink{BatchingSink: sink, rep: rep, hook: w.cfg.OnRecord}
+		},
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: %w", err)
 	}
-	sink := campaign.NewBatchingSink(st, 0)
-	opts := []core.RunnerOption{
-		core.WithSink(&hookSink{BatchingSink: sink, rep: rep, hook: w.cfg.OnRecord}),
-		core.WithBoards(w.cfg.Boards, factory),
-		core.WithShardRange(lease.Range.Lo, lease.Range.Hi),
-		core.WithForwardSet(w.carried),
-	}
-	if lease.Checkpoint >= 0 {
-		iv := lease.Checkpoint
-		if iv == 0 {
-			iv = core.DefaultCheckpointInterval
-		}
-		opts = append(opts, core.WithCheckpoints(iv))
-	}
-	if cp.Reference || len(cp.Completed) > 0 {
-		opts = append(opts, core.WithResume(cp))
-	}
-	r, err := core.NewRunner(factory(), alg, camp, lease.Target, opts...)
-	if err != nil {
-		sink.Close()
-		return err
-	}
-	_, runErr := r.Run(rctx)
+	_, runErr := run.Execute(rctx)
 	stopPumps()
-	w.carried = r.ForwardSet()
+	w.carried = run.Runner.ForwardSet()
 	// Make the range durable locally whatever happens next; a worker
 	// killed after this point resumes without re-running anything.
-	if err := sink.Close(); err != nil {
+	if err := run.Sink.Close(); err != nil {
 		return err
 	}
 	select {

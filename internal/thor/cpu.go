@@ -305,9 +305,6 @@ func (c *CPU) Pins() Pins {
 	return c.pins
 }
 
-// ForcePins installs a pin-level force (boundary-scan EXTEST).
-func (c *CPU) ForcePins(f PinForce) { c.force = f }
-
 // SetTrapHandler installs a software trap handler: executing TRAP code
 // transfers control to addr instead of stopping. Used for best-effort
 // recovery from executable assertions.
@@ -317,9 +314,6 @@ func (c *CPU) SetTrapHandler(code uint16, addr uint32) {
 
 // AddBreakpoint arms a breakpoint at the given address.
 func (c *CPU) AddBreakpoint(addr uint32) { c.breakpoints[addr] = true }
-
-// RemoveBreakpoint disarms a breakpoint.
-func (c *CPU) RemoveBreakpoint(addr uint32) { delete(c.breakpoints, addr) }
 
 // ClearBreakpoints removes every breakpoint. The map is cleared in
 // place rather than reallocated: campaigns clear it once per experiment,

@@ -77,9 +77,6 @@ func (p *PortSet) PeekOutput(port uint16) []uint32 {
 	return out
 }
 
-// InputDepth returns the number of values queued on an input port.
-func (p *PortSet) InputDepth(port uint16) int { return len(p.in[port]) }
-
 // cpuRead pops one value from an input port, returning zero when empty
 // (reading an idle bus).
 func (p *PortSet) cpuRead(port uint16) uint32 {
