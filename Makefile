@@ -20,7 +20,7 @@ tier1:
 	$(GO) vet ./internal/core/ ./internal/thor/
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core/ ./internal/thor/ ./internal/scifi/ . -run 'Snapshot|Forward' -count 1
-	$(GO) test -race ./internal/thor/ ./internal/trigger/ . -run 'FastPath|RunUntilFast|StepBurst|Placement' -count 1
+	$(GO) test -race ./internal/thor/ ./internal/trigger/ . -run 'FastPath|RunUntilFast|StepBurst' -count 1
 	$(GO) test -race ./internal/core/ ./internal/chaos/ . -run 'Chaos|Retry|Quarantine|Watchdog|Panic|InvalidRun|DrainsAndFlushes' -count 1
 	$(GO) test -race ./internal/telemetry/ . -run 'Telemetry|Registry|Prometheus|Handler|Progress' -count 1
 	$(GO) test -race ./internal/server/ ./internal/core/ ./internal/campaign/ -run 'Differential|Fleet|Tenant|Admission|Cancel|Submit' -count 1

@@ -631,8 +631,6 @@ func cmdRun(args []string) error {
 	preFilter := fs.Bool("pre-injection", false, "enable pre-injection liveness filtering")
 	noFwd := fs.Bool("no-checkpoints", false,
 		"disable checkpoint fast-forwarding (every experiment replays the full fault-free prefix)")
-	placement := fs.String("forward-placement", core.PlacementInterval,
-		"checkpoint placement strategy: interval (evenly spaced over the injection window) or optimal (minimises expected re-emulation over the drawn injection plan)")
 	noFast := fs.Bool("no-fastpath", false,
 		"run every cycle through the cycle-accurate step path instead of thor's batched fast path (outcomes are identical either way; scifi technique only)")
 	hf := addHarnessFlags(fs)
@@ -641,10 +639,6 @@ func cmdRun(args []string) error {
 	}
 	if *name == "" {
 		return fmt.Errorf("run: -campaign is required")
-	}
-	if *placement != core.PlacementInterval && *placement != core.PlacementOptimal {
-		return fmt.Errorf("run: unknown -forward-placement %q (want %q or %q)",
-			*placement, core.PlacementInterval, core.PlacementOptimal)
 	}
 	st, db, err := openStore(*dbPath)
 	if err != nil {
@@ -663,7 +657,6 @@ func cmdRun(args []string) error {
 		Technique:    *technique,
 		TargetParams: params,
 		PreInjection: *preFilter,
-		Forwarding:   *placement,
 	}
 	if *noFwd {
 		set.Forwarding = runspec.ForwardOff
@@ -705,10 +698,6 @@ func printSummary(sum *core.Summary, resumed int, prog *telemetry.Progress) {
 	if sum.Forwarded > 0 {
 		fmt.Printf("  fast-forwarded %d experiments: %d cycles emulated, %d saved by checkpoint restore\n",
 			sum.Forwarded, sum.CyclesEmulated, sum.CyclesSaved)
-	}
-	if sum.ForwardPlacement != "" {
-		fmt.Printf("  checkpoint placement %q: predicted re-emulation %d cycles, achieved %d\n",
-			sum.ForwardPlacement, sum.ForwardPredictedDelta, sum.ForwardDeltaCycles)
 	}
 	if sum.Retried > 0 || sum.InvalidRuns > 0 || sum.QuarantinedBoards > 0 {
 		fmt.Printf("  harness recovery: %d retries, %d invalid runs, %d boards quarantined\n",

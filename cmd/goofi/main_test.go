@@ -276,7 +276,8 @@ func loggedState(t *testing.T, db, name string) ([]string, string) {
 // analysis report of an uninterrupted run. Resume must repeat the
 // settings run stored: the pre-injection filter redraws the injections
 // it rejects, so a resume without it fails the plan-hash check, and a
-// run with forwarding off must stay cold after the resume.
+// run with forwarding off must stay cold after the resume. A row stored
+// by an older goofi that named a checkpoint placement must still resume.
 func TestResumeRepeatsRunSettings(t *testing.T) {
 	const n = 2000
 	for _, tc := range []struct {
@@ -284,12 +285,16 @@ func TestResumeRepeatsRunSettings(t *testing.T) {
 		flags []string
 		set   runspec.Settings // what run stores for flags
 		ckpt  int
+		// legacy, when set, is the Forwarding value the interrupted
+		// run stores instead of set.Forwarding.
+		legacy string
 	}{
 		{"pre-injection", []string{"-pre-injection", "-checkpoint", "200"},
-			runspec.Settings{PreInjection: true, Forwarding: core.PlacementInterval}, 200},
+			runspec.Settings{PreInjection: true}, 200, ""},
 		{"no-forward", []string{"-no-checkpoints", "-target-param", "fastpath=off"},
 			runspec.Settings{TargetParams: map[string]string{"fastpath": "off"}, Forwarding: runspec.ForwardOff},
-			core.DefaultCheckpointInterval},
+			core.DefaultCheckpointInterval, ""},
+		{"legacy-optimal", nil, runspec.Settings{}, core.DefaultCheckpointInterval, "optimal"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setup := func() string {
@@ -356,7 +361,11 @@ func TestResumeRepeatsRunSettings(t *testing.T) {
 					r.Runner.Stop()
 				}
 			})
-			spec := runspec.Spec{Settings: tc.set, Harness: runspec.Harness{Boards: 1, Checkpoint: tc.ckpt}}
+			cutSet := tc.set
+			if tc.legacy != "" {
+				cutSet.Forwarding = tc.legacy
+			}
+			spec := runspec.Spec{Settings: cutSet, Harness: runspec.Harness{Boards: 1, Checkpoint: tc.ckpt}}
 			r, err = runspec.Build(st, camp, spec, nil, runspec.Attach{Options: []core.RunnerOption{stopHalfway}})
 			if err != nil {
 				t.Fatal(err)
@@ -364,6 +373,9 @@ func TestResumeRepeatsRunSettings(t *testing.T) {
 			sum, err := r.Execute(context.Background())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if stored, err := runspec.Load(st, "c"); err != nil || !reflect.DeepEqual(stored, cutSet) {
+				t.Fatalf("interrupted run stored settings %+v (%v), want %+v", stored, err, cutSet)
 			}
 			if err := r.Sink.Close(); err != nil {
 				t.Fatal(err)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"goofi/internal/campaign"
-)
+import "goofi/internal/campaign"
 
 // Checkpoint-based fast-forwarding. Every experiment of a campaign
 // executes the same deterministic fault-free prefix up to its injection
@@ -18,53 +14,20 @@ import (
 // byte-identical either way; only the emulated cycle count changes.
 
 // ForwardConfig tunes checkpoint forwarding. The zero value enables
-// forwarding with defaults; set Disabled to opt out.
+// forwarding; set Disabled to opt out.
 type ForwardConfig struct {
 	// Disabled turns checkpoint forwarding off entirely.
 	Disabled bool
-	// Interval is the cycle spacing between planned checkpoints; 0 picks
-	// a spacing that spreads MaxCheckpoints over the injection window.
-	Interval uint64
-	// MaxCheckpoints caps how many checkpoints the planner emits
-	// (<= 0 selects DefaultMaxForwardCheckpoints).
-	MaxCheckpoints int
-	// MaxBytes caps the memory the checkpoint set may hold, counting
-	// only fresh bytes (pages identical to the previous checkpoint are
-	// shared). <= 0 selects DefaultMaxForwardBytes. Recording stops when
-	// the budget is reached; later injection points run cold beyond the
-	// last recorded checkpoint.
-	MaxBytes int
-	// Placement selects the checkpoint placement strategy:
-	// PlacementInterval (the default; evenly spaced over the injection
-	// window) or PlacementOptimal (dynamic programming over the drawn
-	// plan's injection-cycle histogram, minimising expected re-emulated
-	// cycles under the MaxCheckpoints budget). Optimal placement needs
-	// every planned trigger to watch the cycle counter; otherwise the
-	// planner silently falls back to interval placement.
-	Placement string
-	// SnapshotCostCycles is the optimal planner's estimate of what one
-	// checkpoint costs (capture during the reference run plus restores),
-	// expressed in emulated-cycle equivalents: a checkpoint is only
-	// worth placing when it saves more re-emulation than this. 0 asks
-	// the target to calibrate itself (ForwardCalibrator) at plan time;
-	// an explicit value makes placement fully deterministic, which CI
-	// benchmarks rely on.
-	SnapshotCostCycles uint64
 }
 
-// Placement strategy names for ForwardConfig.Placement.
+// Planner limits.
 const (
-	PlacementInterval = "interval"
-	PlacementOptimal  = "optimal"
-)
-
-// Planner defaults.
-const (
-	// DefaultMaxForwardCheckpoints bounds the checkpoint count when the
-	// config does not.
+	// DefaultMaxForwardCheckpoints bounds the checkpoint count.
 	DefaultMaxForwardCheckpoints = 64
 	// DefaultMaxForwardBytes bounds the checkpoint set size (fresh bytes
-	// after page sharing) when the config does not: 32 MiB.
+	// after page sharing): 32 MiB. Recording stops when the budget is
+	// reached; later injection points restore the last checkpoint
+	// recorded before it.
 	DefaultMaxForwardBytes = 32 << 20
 	// minForwardInterval is the smallest cycle spacing the planner emits;
 	// below this the restore saves less than the snapshot costs.
@@ -74,23 +37,6 @@ const (
 	// in the worst case (the longest THOR-S instruction, including two
 	// cache-miss penalties, costs well under this many cycles).
 	forwardMargin = 64
-	// optimalForwardMargin is the tighter margin the optimal planner
-	// uses. A capture requested at cycle p lands at the first
-	// instruction boundary at or after p, overshooting by at most one
-	// instruction minus one cycle; the costliest THOR-S instruction
-	// (DIV at 12 cycles plus two 8-cycle cache-miss fills) is 28
-	// cycles, so a checkpoint planned at t-32 is captured at a cycle
-	// <= t-32+27 < t and is always usable for an injection at t.
-	optimalForwardMargin = 32
-	// DefaultSnapshotCostCycles is the per-checkpoint cost estimate when
-	// neither the config nor the target supplies one; calibrators also
-	// fall back to it when their measurement fails.
-	DefaultSnapshotCostCycles = 128
-	// maxForwardDPBuckets bounds the optimal planner's histogram size:
-	// above this many distinct injection cycles, adjacent cycles are
-	// merged into buckets (keyed by their smallest cycle, with exact
-	// weight and weighted-cycle sums) so the O(n^2*k) DP stays cheap.
-	maxForwardDPBuckets = 512
 )
 
 // ForwardPlan tells a recording target at which cycles of the reference
@@ -106,15 +52,6 @@ type ForwardPlan struct {
 	// MaxBytes caps the set's fresh-byte footprint; recording stops at
 	// the budget.
 	MaxBytes int
-	// Placement names the strategy that produced the plan ("interval"
-	// or "optimal"), echoed into the campaign summary.
-	Placement string
-	// PredictedDelta is the planner's expectation of the total
-	// re-emulated cycles across the drawn plan under this checkpoint
-	// placement (conservative: it assumes every capture overshoots by
-	// the full margin). The summary reports the achieved total next to
-	// it.
-	PredictedDelta uint64
 }
 
 // ForwardCheckpoint is one recorded restore point. State is the
@@ -176,22 +113,23 @@ type Forwarder interface {
 	SetForwardSet(set *ForwardSet)
 }
 
-// ForwardCalibrator is the optional target extension the optimal
-// placement planner uses to price a checkpoint: ForwardCostCycles
-// estimates what recording and restoring one checkpoint costs,
-// expressed in emulated-cycle equivalents, by measuring the target's
-// actual snapshot wall time against its emulation speed.
+// ForwardCalibrator prices one checkpoint in emulated-cycle
+// equivalents.
+//
+// Deprecated: checkpoint placement is interval-only and nothing in core
+// prices checkpoints any more. The interface stays only while the
+// perfbench harness still type-asserts targets against it.
 type ForwardCalibrator interface {
 	ForwardCostCycles() uint64
 }
 
-// forwardPlan derives the checkpoint plan from the campaign definition
-// and the drawn injection plan, or nil when forwarding cannot apply:
-// disabled by config, detail-mode logging (per-instruction traces must
-// cover the whole run), or a trigger whose firing depends on the
-// execution prefix rather than a counter. calib prices checkpoints for
-// the optimal planner; it may be nil.
-func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrator) *ForwardPlan {
+// forwardPlan derives the checkpoint plan from the campaign definition,
+// or nil when forwarding cannot apply: disabled by config, detail-mode
+// logging (per-instruction traces must cover the whole run), or a
+// trigger whose firing depends on the execution prefix rather than a
+// counter. Injection points past the end of the reference run are served
+// by the recorder's horizon guard, not by the plan.
+func (r *Runner) forwardPlan() *ForwardPlan {
 	if r.fw.Disabled {
 		return nil
 	}
@@ -201,49 +139,17 @@ func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrato
 	if !r.camp.Trigger.CycleMonotonic() {
 		return nil
 	}
-	maxCp := r.fw.MaxCheckpoints
-	if maxCp <= 0 {
-		maxCp = DefaultMaxForwardCheckpoints
-	}
-	maxBytes := r.fw.MaxBytes
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxForwardBytes
-	}
-	if r.fw.Placement == PlacementOptimal {
-		if hist, ok := forwardHistogramOf(planned); ok {
-			snap := r.fw.SnapshotCostCycles
-			if snap == 0 {
-				snap = uint64(DefaultSnapshotCostCycles)
-				if calib != nil {
-					snap = calib.ForwardCostCycles()
-				}
-			}
-			if plan := optimalForwardPlan(hist, maxCp, snap); plan != nil {
-				plan.Campaign = r.camp.Name
-				plan.MaxBytes = maxBytes
-				return plan
-			}
-		}
-		// Fall through to interval placement: the drawn plan has
-		// triggers the DP cannot model (instret-watching or mixed).
-	}
-	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: maxBytes, Placement: PlacementInterval}
+	plan := &ForwardPlan{Campaign: r.camp.Name, MaxBytes: DefaultMaxForwardBytes}
 	if r.camp.RandomWindow[1] > 0 && r.camp.Trigger.Kind == "cycle" {
 		// Windowed injection times: spread checkpoints across the window
 		// so every drawn injection cycle has a nearby restore point.
 		lo, hi := r.camp.RandomWindow[0], r.camp.RandomWindow[1]
-		interval := r.fw.Interval
-		if interval == 0 {
-			interval = (hi - lo) / uint64(maxCp)
-		}
-		if interval < minForwardInterval {
-			interval = minForwardInterval
-		}
+		interval := max((hi-lo)/DefaultMaxForwardCheckpoints, minForwardInterval)
 		start := uint64(1)
 		if lo > forwardMargin {
 			start = lo - forwardMargin
 		}
-		for c := start; c < hi && len(plan.Cycles) < maxCp; c += interval {
+		for c := start; c < hi && len(plan.Cycles) < DefaultMaxForwardCheckpoints; c += interval {
 			plan.Cycles = append(plan.Cycles, c)
 		}
 	} else {
@@ -259,189 +165,5 @@ func (r *Runner) forwardPlan(planned []plannedExperiment, calib ForwardCalibrato
 	if len(plan.Cycles) == 0 {
 		return nil
 	}
-	if hist, ok := forwardHistogramOf(planned); ok {
-		plan.PredictedDelta = forwardPredictedDelta(plan.Cycles, hist)
-	}
 	return plan
-}
-
-// forwardHistogram is the drawn plan's injection-cycle distribution,
-// bucketed for the DP: cycles are distinct and ascending, weights count
-// experiments per bucket, and wcycles holds the exact weighted cycle
-// sum per bucket (so bucket merging loses no cost precision — only
-// candidate checkpoint positions).
-type forwardHistogram struct {
-	cycles  []uint64
-	weights []uint64
-	wcycles []uint64
-}
-
-// forwardHistogramOf builds the histogram from the drawn plan. ok is
-// false when any planned trigger is not a pure cycle-counter threshold
-// (the DP's cost model would not be valid for it) or the plan is empty.
-func forwardHistogramOf(planned []plannedExperiment) (forwardHistogram, bool) {
-	ts := make([]uint64, 0, len(planned))
-	for i := range planned {
-		at, byInstret, ok := planned[i].trig.ForwardPoint()
-		if !ok || byInstret {
-			return forwardHistogram{}, false
-		}
-		ts = append(ts, at)
-	}
-	if len(ts) == 0 {
-		return forwardHistogram{}, false
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	var h forwardHistogram
-	for _, t := range ts {
-		if n := len(h.cycles); n > 0 && h.cycles[n-1] == t {
-			h.weights[n-1]++
-			h.wcycles[n-1] += t
-		} else {
-			h.cycles = append(h.cycles, t)
-			h.weights = append(h.weights, 1)
-			h.wcycles = append(h.wcycles, t)
-		}
-	}
-	if len(h.cycles) > maxForwardDPBuckets {
-		h = h.rebucket(maxForwardDPBuckets)
-	}
-	return h, true
-}
-
-// rebucket merges adjacent distinct cycles into at most n buckets. Each
-// bucket keeps its smallest cycle as the representative (the DP places
-// checkpoints relative to representatives, so every point in the bucket
-// still satisfies the margin) and the exact weight / weighted-cycle
-// sums for cost bookkeeping.
-func (h forwardHistogram) rebucket(n int) forwardHistogram {
-	per := (len(h.cycles) + n - 1) / n
-	out := forwardHistogram{}
-	for i := 0; i < len(h.cycles); i += per {
-		j := min(i+per, len(h.cycles))
-		var w, wt uint64
-		for k := i; k < j; k++ {
-			w += h.weights[k]
-			wt += h.wcycles[k]
-		}
-		out.cycles = append(out.cycles, h.cycles[i])
-		out.weights = append(out.weights, w)
-		out.wcycles = append(out.wcycles, wt)
-	}
-	return out
-}
-
-// optimalForwardPlan chooses checkpoint cycles minimising the model
-// cost: the cold prefix replays in full, every other injection point t
-// restores the last checkpoint planned at or before t-margin and
-// re-emulates the difference, and each checkpoint placed costs
-// snapCost. Candidate positions are t_a - margin for each bucket
-// representative t_a (an exchange argument shows restricting to these
-// loses nothing: shifting any checkpoint right to the next candidate
-// serves the same points no farther from their restore point). The DP
-// is exact over the bucketed histogram, so the resulting plan is never
-// worse than interval placement under the same model — pinned by
-// TestOptimalPlacementNeverWorseThanInterval.
-func optimalForwardPlan(h forwardHistogram, maxCp int, snapCost uint64) *ForwardPlan {
-	const m = optimalForwardMargin
-	n := len(h.cycles)
-	if n == 0 {
-		return nil
-	}
-	// Prefix sums over buckets: W = weights, WT = weighted cycles.
-	W := make([]uint64, n+1)
-	WT := make([]uint64, n+1)
-	for i := 0; i < n; i++ {
-		W[i+1] = W[i] + h.weights[i]
-		WT[i+1] = WT[i] + h.wcycles[i]
-	}
-	// groupCost(a, j): buckets a..j (1-based) all restore a checkpoint
-	// at h.cycles[a-1]-m; each point t re-emulates t - p cycles.
-	groupCost := func(a, j int) uint64 {
-		p := h.cycles[a-1] - m
-		return (WT[j] - WT[a-1]) - p*(W[j]-W[a-1])
-	}
-	// f[k][j]: minimal cost of the first j buckets using at most k
-	// checkpoints, where the buckets after the last checkpoint's group
-	// must be covered by it (matching the runtime rule: an experiment
-	// always restores the nearest preceding checkpoint). Cold execution
-	// is only possible for a prefix (k==0 over that prefix).
-	if maxCp < 1 {
-		return nil
-	}
-	f := make([][]uint64, maxCp+1)
-	from := make([][]int, maxCp+1) // group start a, or 0 for "inherit f[k-1][j]"
-	for k := 0; k <= maxCp; k++ {
-		f[k] = make([]uint64, n+1)
-		from[k] = make([]int, n+1)
-	}
-	for j := 1; j <= n; j++ {
-		f[0][j] = WT[j] // everything cold
-	}
-	for k := 1; k <= maxCp; k++ {
-		for j := 1; j <= n; j++ {
-			best, bestA := f[k-1][j], 0
-			for a := 1; a <= j; a++ {
-				if h.cycles[a-1] <= m {
-					continue // no room for the margin before this point
-				}
-				if c := f[k-1][a-1] + snapCost + groupCost(a, j); c < best {
-					best, bestA = c, a
-				}
-			}
-			f[k][j], from[k][j] = best, bestA
-		}
-	}
-	// Reconstruct the checkpoint cycles from the DP choices.
-	var cycles []uint64
-	k, j := maxCp, n
-	for j > 0 && k > 0 {
-		a := from[k][j]
-		if a == 0 {
-			k--
-			continue
-		}
-		cycles = append(cycles, h.cycles[a-1]-m)
-		j = a - 1
-		k--
-	}
-	if len(cycles) == 0 {
-		return nil // checkpoints never paid for themselves
-	}
-	// Reverse into ascending order.
-	for i, jj := 0, len(cycles)-1; i < jj; i, jj = i+1, jj-1 {
-		cycles[i], cycles[jj] = cycles[jj], cycles[i]
-	}
-	return &ForwardPlan{
-		Cycles:         cycles,
-		Placement:      PlacementOptimal,
-		PredictedDelta: forwardPredictedDelta(cycles, h),
-	}
-}
-
-// forwardPredictedDelta evaluates a checkpoint plan against a histogram
-// under the common conservative model: an injection at cycle t restores
-// the last checkpoint planned at or before t-optimalForwardMargin, or
-// replays from cycle 0 when none exists, and re-emulates the
-// difference. Both placement strategies are scored with this one
-// evaluator, which is what makes their PredictedDelta values (and the
-// never-worse property test) comparable.
-func forwardPredictedDelta(cycles []uint64, h forwardHistogram) uint64 {
-	var total uint64
-	for i, t := range h.cycles {
-		var p, found = uint64(0), false
-		for _, c := range cycles {
-			if c+optimalForwardMargin <= t {
-				p, found = c, true
-			} else {
-				break
-			}
-		}
-		if found {
-			total += (h.wcycles[i] - h.weights[i]*t) + h.weights[i]*(t-p)
-		} else {
-			total += h.wcycles[i]
-		}
-	}
-	return total
 }

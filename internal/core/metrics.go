@@ -29,9 +29,7 @@ var (
 	mCyclesSaved = telemetry.NewCounter("goofi_scheduler_cycles_saved_total",
 		"Target cycles skipped by checkpoint fast-forwarding.")
 	mForwardDelta = telemetry.NewCounter("goofi_scheduler_forward_delta_cycles_total",
-		"Achieved checkpoint-to-injection re-emulation cycles, summed over injected experiments.")
-	mForwardPredicted = telemetry.NewGauge("goofi_scheduler_forward_predicted_delta_cycles",
-		"The checkpoint plan's predicted re-emulation cycles under the placement cost model.")
+		"Checkpoint-to-injection re-emulation cycles, summed over injected experiments.")
 
 	mRetries = telemetry.NewCounterVec("goofi_robust_retries_total",
 		"Experiment attempts retried, by harness failure class.", "class")

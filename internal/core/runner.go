@@ -46,17 +46,10 @@ type Summary struct {
 	// emulates CyclesEmulated + CyclesSaved.
 	CyclesEmulated uint64
 	CyclesSaved    uint64
-	// ForwardPlacement names the checkpoint placement strategy the
-	// reference run recorded with ("interval" or "optimal"; empty when
-	// forwarding was off). ForwardPredictedDelta is the plan's predicted
-	// re-emulation cycles under the placement cost model, and
-	// ForwardDeltaCycles the achieved total — for each injected
-	// experiment, the cycles between its restore point (or cycle 0 when
-	// cold) and its injection cycle. Comparing achieved against predicted
-	// shows how close the placement came to its model's optimum.
-	ForwardPlacement      string
-	ForwardPredictedDelta uint64
-	ForwardDeltaCycles    uint64
+	// ForwardDeltaCycles sums, over injected experiments with a
+	// cycle-threshold trigger, the cycles between the restore point (or
+	// cycle 0 when cold) and the injection cycle.
+	ForwardDeltaCycles uint64
 	// Retried counts failed experiment attempts that were re-executed
 	// under the retry policy; InvalidRuns counts experiments that
 	// exhausted their attempts and were recorded as OutcomeInvalidRun;
@@ -196,7 +189,7 @@ func WithResume(cp *campaign.Checkpoint) RunnerOption {
 // WithForwarding configures checkpoint fast-forwarding. Forwarding is on
 // by default (for targets implementing Forwarder and campaigns whose
 // trigger is cycle-monotonic); pass ForwardConfig{Disabled: true} to run
-// every experiment cold, or set the other fields to tune the planner.
+// every experiment cold.
 func WithForwarding(cfg ForwardConfig) RunnerOption {
 	return func(r *Runner) { r.fw = cfg }
 }

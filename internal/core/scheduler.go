@@ -264,7 +264,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			refErr = fmt.Errorf("core: campaign %q reference: %w", r.camp.Name, lerr)
 		} else {
 			var recorded *ForwardSet
-			recorded, refErr = r.referenceRun(ctx, sum, planned)
+			recorded, refErr = r.referenceRun(ctx, sum)
 			if recorded != nil {
 				// A freshly recorded set supersedes any preset one.
 				fwSet = recorded
@@ -478,11 +478,12 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 							saved = ex.ForwardedFrom
 							emulated -= saved
 						}
-						// Achieved forwarding delta: for an injected
-						// experiment with a cycle-threshold trigger, the
-						// cycles re-emulated between the restore point
-						// (cycle 0 when cold) and the injection cycle —
-						// the quantity the placement planner minimises.
+						// Forwarding delta: for an injected experiment
+						// with a cycle-threshold trigger, the cycles
+						// re-emulated between the restore point (cycle 0
+						// when cold) and the injection cycle. Experiments
+						// injected past the reference run's end restore
+						// the horizon guard and dominate this total.
 						delta := uint64(0)
 						if at, byInstret, ok := qe.trig.ForwardPoint(); ok && !byInstret && ex.Injected {
 							delta = at
@@ -718,27 +719,14 @@ func installForwardSet(target TargetSystem, set *ForwardSet) {
 // referenceRun executes the campaign's fault-free reference run, with the
 // same watchdog/retry protection as the experiments when the policy is
 // on, and returns the recorded forward set (nil when the target does not
-// forward or recording was off). planned is the drawn injection plan,
-// which the optimal placement planner mines for its cycle histogram.
-func (r *Runner) referenceRun(ctx context.Context, sum *Summary, planned []plannedExperiment) (*ForwardSet, error) {
+// forward or recording was off).
+func (r *Runner) referenceRun(ctx context.Context, sum *Summary) (*ForwardSet, error) {
 	refTarget := r.boardTarget()
 	jitter := rand.New(rand.NewSource(expSeed(r.camp.Seed, -2)))
 	// The checkpoint plan is computed once, before the attempt loop: a
 	// retried reference must record at the same cycles the first attempt
-	// would have, so a retry stays observationally equivalent. The first
-	// target prices the snapshot cost when it can (the recorded state
-	// itself is placement-independent, so a calibration that varies with
-	// wall-clock speed never changes any logged byte).
-	var fwPlan *ForwardPlan
-	if _, ok := refTarget.(Forwarder); ok {
-		calib, _ := refTarget.(ForwardCalibrator)
-		fwPlan = r.forwardPlan(planned, calib)
-	}
-	if fwPlan != nil {
-		sum.ForwardPlacement = fwPlan.Placement
-		sum.ForwardPredictedDelta = fwPlan.PredictedDelta
-		mForwardPredicted.Set(int64(fwPlan.PredictedDelta))
-	}
+	// would have, so a retry stays observationally equivalent.
+	fwPlan := r.forwardPlan()
 	for attempt := 1; ; attempt++ {
 		ref := r.newExperiment(-1, nil, trigger.Spec{})
 		var flushDetail func() error
@@ -833,13 +821,10 @@ func (q *expQueue) maybeDoneLocked() {
 	}
 }
 
-// tryPop is the non-blocking pop: ok reports work handed out, mustWait
-// reports an empty queue with experiments still in flight (a failing
-// worker may requeue one) — the caller should release its board before
-// falling back to the blocking pop.
-func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// popLocked dequeues the head item with q.mu held: ok reports work
+// handed out, mustWait reports an empty queue with experiments still in
+// flight (a failing worker may requeue one).
+func (q *expQueue) popLocked() (qe queuedExperiment, ok, mustWait bool) {
 	if q.halted {
 		return queuedExperiment{}, false, false
 	}
@@ -850,10 +835,15 @@ func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
 		mQueueDepth.Set(int64(len(q.items)))
 		return qe, true, false
 	}
-	if q.inFlight == 0 {
-		return queuedExperiment{}, false, false
-	}
-	return queuedExperiment{}, false, true
+	return queuedExperiment{}, false, q.inFlight > 0
+}
+
+// tryPop is the non-blocking pop. On mustWait the caller should release
+// its board before falling back to the blocking pop.
+func (q *expQueue) tryPop() (qe queuedExperiment, ok, mustWait bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.popLocked()
 }
 
 // pop hands the next experiment to a worker. It blocks while the queue is
@@ -864,18 +854,9 @@ func (q *expQueue) pop() (queuedExperiment, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.halted {
-			return queuedExperiment{}, false
-		}
-		if len(q.items) > 0 {
-			qe := q.items[0]
-			q.items = q.items[1:]
-			q.inFlight++
-			mQueueDepth.Set(int64(len(q.items)))
-			return qe, true
-		}
-		if q.inFlight == 0 {
-			return queuedExperiment{}, false
+		qe, ok, mustWait := q.popLocked()
+		if !mustWait {
+			return qe, ok
 		}
 		q.cond.Wait()
 	}

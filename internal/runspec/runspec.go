@@ -22,14 +22,12 @@ import (
 	"goofi/internal/thor"
 )
 
-// ForwardOff turns checkpoint forwarding off; Settings.Forwarding
-// otherwise names a placement ("" or core.PlacementInterval, or
-// core.PlacementOptimal).
+// ForwardOff turns checkpoint forwarding off; "" leaves it on.
 const ForwardOff = "off"
 
 // Settings decide what a campaign executes: the target and algorithm,
-// the injections the pre-injection filter admits, and how checkpoint
-// forwarding is placed. They are persisted with the campaign and
+// the injections the pre-injection filter admits, and whether checkpoint
+// forwarding is on. They are persisted with the campaign and
 // replayed by resume. The zero value is the default run.
 type Settings struct {
 	// TargetKind names a registered target system or alias; Technique
@@ -41,8 +39,9 @@ type Settings struct {
 	TargetParams map[string]string `json:"targetParams,omitempty"`
 	// PreInjection enables the paper §4 liveness filter.
 	PreInjection bool `json:"preInjection,omitempty"`
-	// Forwarding is "", core.PlacementInterval, core.PlacementOptimal or
-	// ForwardOff.
+	// Forwarding is "" (on) or ForwardOff. Rows stored while a second
+	// checkpoint placement existed may hold "interval" or "optimal";
+	// both mean on, since placement never changed a logged record.
 	Forwarding string `json:"forwarding,omitempty"`
 }
 
@@ -105,15 +104,12 @@ func (s Settings) SystemData(targetName string) (*campaign.TargetSystemData, err
 
 func (s Settings) forwarding() (core.ForwardConfig, error) {
 	switch s.Forwarding {
-	case "", core.PlacementInterval:
+	case "", "interval", "optimal":
 		return core.ForwardConfig{}, nil
-	case core.PlacementOptimal:
-		return core.ForwardConfig{Placement: core.PlacementOptimal}, nil
 	case ForwardOff:
 		return core.ForwardConfig{Disabled: true}, nil
 	}
-	return core.ForwardConfig{}, fmt.Errorf("unknown forwarding %q (want %q, %q or %q)",
-		s.Forwarding, core.PlacementInterval, core.PlacementOptimal, ForwardOff)
+	return core.ForwardConfig{}, fmt.Errorf("unknown forwarding %q (want \"\" or %q)", s.Forwarding, ForwardOff)
 }
 
 // Load returns a campaign's stored settings. A campaign that has none

@@ -1,94 +1,17 @@
 package scifi
 
-import (
-	"time"
+import "goofi/internal/core"
 
-	"goofi/internal/asm"
-	"goofi/internal/core"
-	"goofi/internal/thor"
-)
-
-// Checkpoint cost calibration for the optimal placement planner. The
-// planner trades re-emulated cycles against checkpoints, so it needs
-// both in the same unit: how many cycles of emulation one snapshot
-// capture is worth on this host, right now. The calibration measures
-// the board's actual snapshot wall time and its emulation speed on a
-// scratch CPU, and converts one into the other.
+// ForwardCostCycles implements core.ForwardCalibrator with the nominal
+// checkpoint cost of 128 cycles the calibration used to fall back to.
 //
-// Calibration is wall-clock dependent and therefore nondeterministic
-// across hosts and runs — which is safe, because the placement plan
-// only chooses *where* checkpoints go: every logged record, outcome
-// and forward-restored state is placement-independent (pinned by the
-// forwarding differential suites). Campaigns that need a reproducible
-// plan set ForwardConfig.SnapshotCostCycles explicitly, which bypasses
-// this path entirely.
-
-// calibrateEmulCycles is how many cycles the scratch CPU runs to price
-// emulation speed: long enough to amortise timer granularity, short
-// enough (<1ms) to be invisible next to a reference run.
-const calibrateEmulCycles = 50_000
-
-// calibrateSrc is the scratch workload: a tight kick loop that never
-// terminates, overflows, or trips the watchdog, so the measurement sees
-// steady-state fast-path execution.
-const calibrateSrc = `
-loop:
-	addi r1, r1, 1
-	kick
-	cmpi r1, 0
-	bne loop
-	halt
-`
-
-// ForwardCostCycles implements core.ForwardCalibrator: the estimated
-// cost of one checkpoint, in emulated-cycle equivalents, clamped to
-// [64, 256] so a wild measurement (timer hiccup, cold caches) can skew
-// the plan only so far.
-func (t *Target) ForwardCostCycles() uint64 {
-	const lo, hi = 64, 256
-	snapNS := t.snapshotNS()
-	cycleNS := emulNSPerCycle(t.cfg)
-	if snapNS <= 0 || cycleNS <= 0 {
-		return core.DefaultSnapshotCostCycles
-	}
-	cost := uint64(snapNS / cycleNS)
-	if cost < lo {
-		return lo
-	}
-	if cost > hi {
-		return hi
-	}
-	return cost
-}
-
-// snapshotNS times one full board snapshot of the target's own CPU (in
-// whatever state it currently holds — typically freshly reset, which is
-// also what the reference run snapshots from).
-func (t *Target) snapshotNS() float64 {
-	start := time.Now()
-	t.cpu.Snapshot()
-	return float64(time.Since(start).Nanoseconds())
-}
-
-// emulNSPerCycle measures fast-path emulation speed on a scratch CPU
-// built from the same config, returning host nanoseconds per emulated
-// cycle. It returns 0 when the scratch workload cannot run (which in
-// practice means an assembler regression — the source is a constant).
-func emulNSPerCycle(cfg thor.Config) float64 {
-	prog, err := asm.AssembleCached(calibrateSrc)
-	if err != nil {
-		return 0
-	}
-	c := thor.New(cfg)
-	if err := c.LoadMemory(0, prog.Image); err != nil {
-		return 0
-	}
-	start := time.Now()
-	c.RunFast(calibrateEmulCycles)
-	if c.Cycle() == 0 {
-		return 0
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(c.Cycle())
-}
+// Deprecated: it used to time a board snapshot against a scratch CPU's
+// emulation speed to price checkpoints for the DP placement planner.
+// That planner was deleted (interval placement plus the horizon guard
+// emulates within 0.1% of it on E1 and skips its plan-time cost), so
+// nothing consumes the price; the method remains only because the
+// perfbench harness still type-asserts targets against
+// core.ForwardCalibrator.
+func (t *Target) ForwardCostCycles() uint64 { return 128 }
 
 var _ core.ForwardCalibrator = (*Target)(nil)

@@ -57,7 +57,6 @@ func (d *device) UpdateInternal(v *bitvec.Vector) error { return d.cpu.ScanWrite
 type Target struct {
 	core.Framework
 
-	cfg  thor.Config
 	cpu  *thor.CPU
 	dev  *device
 	ctrl *scanchain.Controller
@@ -94,7 +93,6 @@ type Option func(*Target)
 func New(cfg thor.Config, opts ...Option) *Target {
 	t := &Target{
 		Framework: core.Framework{TargetName: "thor-s-board"},
-		cfg:       cfg,
 		envs:      envsim.NewRegistry(),
 		fastPath:  true,
 	}
