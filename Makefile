@@ -31,7 +31,7 @@ tier1:
 
 # tier2 is the crash-safety suite: the WAL crash-injection and resume
 # equivalence tests, the golden end-to-end report, plus a short fuzz
-# smoke of the SQL front end.
+# smoke of the SQL front end and the record codec.
 tier2:
 	$(GO) test ./internal/sqldb/ -run 'WAL|Crash|Checkpoint|Stale|OpenAt|Replay' -count 1
 	$(GO) test ./internal/campaign/ -run 'Checkpoint|RecoverCursor|Sink' -count 1
@@ -65,9 +65,11 @@ bench:
 	bash perfbench/run.sh --workload proc-matmul --seed 42 --seconds 25 --trace 0
 
 # fuzz runs each native Go fuzzer for a bounded time (override with
-# FUZZTIME=1m etc.). New corpus entries land in the build cache;
-# crashers land in internal/sqldb/testdata/fuzz and should be committed
-# alongside the fix.
+# FUZZTIME=1m etc.): the SQL front end and the LoggedSystemState record
+# codec. New corpus entries land in the build cache; crashers land in
+# the fuzzed package's testdata/fuzz/<FuzzName> directory and should be
+# committed alongside the fix.
 fuzz:
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqldb/ -run '^$$' -fuzz FuzzLexer -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME)

@@ -405,6 +405,57 @@ func BenchmarkLoggedStateInsertWAL(b *testing.B) {
 	}
 }
 
+// BenchmarkExperimentsDecode measures the analysis read path: 200
+// pid-long-sized records (a full internal scan vector plus one
+// 4,000-value output port) are logged into an in-memory store, and each
+// iteration reads them all back with Store.Experiments, decoding both
+// JSON blobs of every row.
+func BenchmarkExperimentsDecode(b *testing.B) {
+	st, _ := benchStore(b)
+	camp := pidCampaign("bench-decode", 200, 1)
+	if err := st.PutCampaign(camp); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < camp.NumExperiments; i++ {
+		outputs := make([]uint32, 4000)
+		for j := range outputs {
+			outputs[j] = uint32((i*7919 + j*104729) % 100000)
+		}
+		rec := &campaign.ExperimentRecord{
+			Name:     campaign.ExperimentName(camp.Name, i),
+			Campaign: camp.Name,
+			Step:     -1,
+			Data: campaign.ExperimentData{
+				Seq:            i,
+				Fault:          faultmodel.Fault{Kind: faultmodel.Transient, Bits: []int{i % 1000}},
+				LocationNames:  []string{"cpu.r3"},
+				Trigger:        trigger.Spec{Kind: "cycle", Cycle: uint64(200 + i*997)},
+				InjectionCycle: uint64(200 + i*997),
+				Injected:       true,
+				Outcome:        campaign.Outcome{Status: campaign.OutcomeCompleted, Cycles: 1_000_000, Iterations: 4000},
+			},
+			State: campaign.StateVector{
+				Scan:    make([]byte, (thor.ScanLen()+7)/8),
+				Outputs: map[uint16][]uint32{2: outputs},
+			},
+		}
+		if err := st.LogExperiment(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := st.Experiments(camp.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != camp.NumExperiments {
+			b.Fatalf("read %d records, want %d", len(recs), camp.NumExperiments)
+		}
+	}
+}
+
 // BenchmarkTriggers is experiment E8: the cost of reaching the injection
 // point with each trigger kind (stepping with per-instruction predicates
 // vs plain cycle counting).

@@ -7,7 +7,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"goofi/internal/faultmodel"
@@ -295,17 +294,20 @@ type StateVector struct {
 	Outputs map[uint16][]uint32 `json:"outputs,omitempty"`
 }
 
-// Encode serialises the state vector for storage. The output is the
-// json.Marshal encoding, produced by the hand-rolled appender in
-// codec.go (this runs once per experiment on the storage hot path).
+// Encode serialises the state vector for storage as JSON, produced by
+// the hand-rolled appender in codec.go (this runs once per experiment on
+// the storage hot path). The bytes differ from json.Marshal's in
+// output-port order (numeric, not string order) and in memory-key
+// escaping; see codec.go.
 func (s *StateVector) Encode() ([]byte, error) {
 	return s.appendJSON(make([]byte, 0, 256)), nil
 }
 
-// DecodeStateVector parses a stored state vector.
+// DecodeStateVector parses a stored state vector with the hand-rolled
+// decoder in codec.go.
 func DecodeStateVector(b []byte) (*StateVector, error) {
 	var s StateVector
-	if err := json.Unmarshal(b, &s); err != nil {
+	if err := s.decodeJSON(b); err != nil {
 		return nil, fmt.Errorf("campaign: decode state vector: %w", err)
 	}
 	return &s, nil

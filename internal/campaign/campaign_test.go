@@ -154,14 +154,20 @@ func TestStoreTargetRoundTrip(t *testing.T) {
 func TestStoreCampaignRequiresTarget(t *testing.T) {
 	s := newStore(t)
 	// Foreign key: campaign without its target system must be rejected.
-	if err := s.PutCampaign(testCampaign()); err == nil {
-		t.Fatal("campaign without target accepted")
+	err := s.PutCampaign(testCampaign())
+	if want := `campaign "camp-1": campaign: no target system "thor-board"`; err == nil || err.Error() != want {
+		t.Fatalf("campaign without target: err = %v, want %s", err, want)
 	}
 	if err := s.PutTargetSystem(testTarget()); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutCampaign(testCampaign()); err != nil {
 		t.Fatal(err)
+	}
+	// The campaign row copies the target's test card name.
+	r, err := s.db.Query(`SELECT testCardName FROM CampaignData WHERE campaignName = ?`, sqldb.Text("camp-1"))
+	if err != nil || len(r.Rows) != 1 || r.Rows[0][0].S != "card-1" {
+		t.Fatalf("CampaignData.testCardName = %v, %v", r, err)
 	}
 	got, err := s.GetCampaign("camp-1")
 	if err != nil {

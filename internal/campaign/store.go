@@ -131,18 +131,24 @@ func (s *Store) PutCampaign(c *Campaign) error {
 	if err != nil {
 		return fmt.Errorf("campaign: marshal campaign %q: %w", c.Name, err)
 	}
-	ts, err := s.GetTargetSystem(c.TargetName)
+	// Only the test card name is copied from the target system, so read
+	// that column rather than decoding the whole target config.
+	r, err := s.db.Query(`SELECT testCardName FROM TargetSystemData WHERE targetName = ?`, sqldb.Text(c.TargetName))
 	if err != nil {
 		return fmt.Errorf("campaign %q: %w", c.Name, err)
 	}
+	if len(r.Rows) == 0 {
+		return fmt.Errorf("campaign %q: campaign: no target system %q", c.Name, c.TargetName)
+	}
+	testCard := r.Rows[0][0]
 	n, err := s.db.Exec(`UPDATE CampaignData SET targetName = ?, testCardName = ?, config = ? WHERE campaignName = ?`,
-		sqldb.Text(c.TargetName), sqldb.Text(ts.TestCardName), sqldb.Blob(cfg), sqldb.Text(c.Name))
+		sqldb.Text(c.TargetName), testCard, sqldb.Blob(cfg), sqldb.Text(c.Name))
 	if err != nil {
 		return err
 	}
 	if n == 0 {
 		_, err = s.db.Exec(`INSERT INTO CampaignData VALUES (?, ?, ?, ?)`,
-			sqldb.Text(c.Name), sqldb.Text(c.TargetName), sqldb.Text(ts.TestCardName), sqldb.Blob(cfg))
+			sqldb.Text(c.Name), sqldb.Text(c.TargetName), testCard, sqldb.Blob(cfg))
 	}
 	return err
 }
@@ -372,7 +378,7 @@ func decodeExperimentRow(row []sqldb.Value) (*ExperimentRecord, error) {
 	if !row[1].IsNull() {
 		rec.Parent = row[1].S
 	}
-	if err := json.Unmarshal(row[4].B, &rec.Data); err != nil {
+	if err := rec.Data.decodeJSON(row[4].B); err != nil {
 		return nil, fmt.Errorf("campaign: unmarshal experiment data: %w", err)
 	}
 	sv, err := DecodeStateVector(row[5].B)
